@@ -1,21 +1,15 @@
 #include "src/fleet/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <utility>
 
-#include "src/aft/aft.h"
 #include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/device.h"
-#include "src/fleet/executor.h"
-#include "src/os/os.h"
 #include "src/ota/bootloader.h"
 #include "src/ota/image.h"
 
@@ -24,11 +18,8 @@ namespace amulet {
 namespace {
 
 using fleet_internal::ClonedDevice;
-using fleet_internal::DataRegions;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+using fleet_internal::CohortRuntime;
+using fleet_internal::SecondsSince;
 
 const std::vector<CampaignStage>& DefaultStages() {
   static const std::vector<CampaignStage> kStages = {
@@ -95,17 +86,6 @@ std::string CampaignConfigCanonical(const CampaignConfig& config, uint64_t fw1_h
   return out;
 }
 
-void AddStats(DeviceStats* into, const DeviceStats& delta) {
-  into->cycles += delta.cycles;
-  into->data_accesses += delta.data_accesses;
-  into->syscalls += delta.syscalls;
-  into->dispatches += delta.dispatches;
-  into->faults += delta.faults;
-  into->pucs += delta.pucs;
-  into->watchdog_resets += delta.watchdog_resets;
-  into->instructions += delta.instructions;
-}
-
 void RecordCampaignDeviceMetrics(const CampaignDeviceRow& row, MetricRegistry* m) {
   fleet_internal::RecordDeviceMetrics(row.stats, m);
   switch (row.outcome) {
@@ -129,14 +109,8 @@ void RecordCampaignDeviceMetrics(const CampaignDeviceRow& row, MetricRegistry* m
 // Everything per-device work needs, shared read-only across worker threads.
 struct CampaignContext {
   const CampaignConfig* config = nullptr;
-  const Firmware* firmware_from = nullptr;
-  const Firmware* firmware_to = nullptr;
-  const MachineSnapshot* snapshot_from = nullptr;
-  const MachineSnapshot* snapshot_to = nullptr;
-  const AmuletOs* booted_from = nullptr;
-  const AmuletOs* booted_to = nullptr;
-  DataRegions regions_from;
-  DataRegions regions_to;
+  const CohortRuntime* from = nullptr;  // old firmware
+  const CohortRuntime* to = nullptr;    // new firmware
   const OtaImage* deploy = nullptr;
 };
 
@@ -154,11 +128,8 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
 
   // Phase 1: the device's ordinary workload on the old firmware.
   ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device,
-                   ClonedDevice::Clone(device_seed, config.fleet.fram_wait_states,
-                                       *ctx.firmware_from, *ctx.snapshot_from,
-                                       *ctx.booted_from, config.fleet.predecode,
-                                       config.fleet.flight_recorder));
-  RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.regions_from, &row->stats, ledger));
+                   ctx.from->Clone(device_seed, config.fleet));
+  RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.from->regions, &row->stats, ledger));
 
   // Phase 2: the bootloader verifies the staged image's MAC as simulated
   // MSP430 code; the cycle cost is this device's genuine verification bill.
@@ -177,10 +148,7 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
     // streams stay decorrelated but deterministic.
     const uint32_t health_seed = device_seed ^ fleet_internal::Mix32(config.to_version);
     ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> updated,
-                     ClonedDevice::Clone(health_seed, config.fleet.fram_wait_states,
-                                         *ctx.firmware_to, *ctx.snapshot_to,
-                                         *ctx.booted_to, config.fleet.predecode,
-                                         config.fleet.flight_recorder));
+                     ctx.to->Clone(health_seed, config.fleet));
     BlData bl;
     bl.active_bank = 1;
     bl.attempt_count = 1;
@@ -190,8 +158,10 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
 
     DeviceStats health;
     health.device_id = device_id;
-    RETURN_IF_ERROR(updated->Run(config.health_ms, ctx.regions_to, &health, ledger));
-    AddStats(&row->stats, health);
+    RETURN_IF_ERROR(updated->Run(config.health_ms, ctx.to->regions, &health, ledger));
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      row->stats.*c.stat += health.*c.stat;
+    }
     span_ms += config.health_ms;
 
     ASSIGN_OR_RETURN(BlData after, ReadBlData(updated->machine().bus()));
@@ -246,91 +216,53 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   RETURN_IF_ERROR(ValidateStages(config.stages));
   // Stage accounting always needs per-device rows.
   config.fleet.retain_device_stats = true;
-
-  ASSIGN_OR_RETURN(std::vector<AppSource> from_sources,
-                   fleet_internal::ResolveApps(&config.fleet.apps));
   if (config.to_apps.empty()) {
     config.to_apps = config.fleet.apps;
   }
-  ASSIGN_OR_RETURN(std::vector<AppSource> to_sources,
-                   fleet_internal::ResolveApps(&config.to_apps));
 
+  // Template boots for both firmware versions, built with the fleet's
+  // check_opt; every device clones from these snapshots instead of
+  // re-paying boot cost.
   const auto boot_t0 = std::chrono::steady_clock::now();
-  AftOptions aft;
-  aft.model = config.fleet.model;
-  ASSIGN_OR_RETURN(Firmware firmware_from, BuildFirmware(from_sources, aft));
-  ASSIGN_OR_RETURN(Firmware firmware_to, BuildFirmware(to_sources, aft));
+  Cohort from_cohort;
+  from_cohort.apps = config.fleet.apps;
+  from_cohort.model = config.fleet.model;
+  Cohort to_cohort = from_cohort;
+  to_cohort.apps = config.to_apps;
+  ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> from,
+                   fleet_internal::BootCohort(from_cohort, config.fleet));
+  ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> to,
+                   fleet_internal::BootCohort(to_cohort, config.fleet));
+  config.fleet.apps = from->cohort.apps;
+  config.to_apps = to->cohort.apps;
 
   // The deployed container: either the freshly packed new firmware or the
   // caller-supplied bytes (the tamper hook). Decode validates the transport
   // checksums; authenticity is each device's simulated MAC check.
   std::vector<uint8_t> deploy_bytes;
   if (config.image_override.empty()) {
-    deploy_bytes = EncodeOtaImage(PackOtaImage(firmware_to.image, config.to_version,
-                                               config.fleet.model, config.key));
+    deploy_bytes = EncodeOtaImage(
+        PackOtaImage(to->firmware.image, config.to_version, config.fleet.model, config.key));
   } else {
     deploy_bytes = config.image_override;
   }
   ASSIGN_OR_RETURN(OtaImage deploy, DecodeOtaImage(deploy_bytes));
 
-  // Template boots for both firmware versions; every device clones from
-  // these snapshots instead of re-paying boot cost.
-  OsOptions template_options;
-  template_options.fram_wait_states = config.fleet.fram_wait_states;
-  template_options.fault_policy = FaultPolicy::kRestartApp;
-  template_options.sensor_seed = config.fleet.fleet_seed;
-  Machine template_machine_from;
-  template_machine_from.cpu().set_predecode(config.fleet.predecode);
-  AmuletOs template_os_from(&template_machine_from, firmware_from, template_options);
-  RETURN_IF_ERROR(template_os_from.Boot());
-  const MachineSnapshot snapshot_from = CaptureSnapshot(template_machine_from);
-  Machine template_machine_to;
-  template_machine_to.cpu().set_predecode(config.fleet.predecode);
-  AmuletOs template_os_to(&template_machine_to, firmware_to, template_options);
-  RETURN_IF_ERROR(template_os_to.Boot());
-  const MachineSnapshot snapshot_to = CaptureSnapshot(template_machine_to);
-
-  const uint64_t fw1_hash = FirmwareImageHash(firmware_from.image);
-  const uint64_t fw2_hash = FirmwareImageHash(firmware_to.image);
-  const uint64_t image_fnv = Fnv1a64(deploy_bytes.data(), deploy_bytes.size());
-  const std::string canonical =
-      CampaignConfigCanonical(config, fw1_hash, fw2_hash, image_fnv);
-  uint64_t config_hash =
-      Fnv1a64(reinterpret_cast<const uint8_t*>(canonical.data()), canonical.size());
-  if (resume != nullptr) {
-    if (resume->kind != FleetCheckpointKind::kCampaign) {
-      return InvalidArgumentError(
-          "checkpoint was written by a plain fleet run; resume it without --campaign");
-    }
-    if (resume->config_hash != config_hash) {
-      return InvalidArgumentError(
-          StrFormat("checkpoint config mismatch: checkpoint was written by [%s], this "
-                    "run is [%s]",
-                    resume->config_text.c_str(), canonical.c_str()));
-    }
-    if (resume->template_snapshot.bytes != snapshot_from.bytes) {
-      return InvalidArgumentError(
-          "checkpoint template snapshot does not match the one this build and config "
-          "produce");
-    }
-  }
-
   const int device_count = config.fleet.device_count;
-  CampaignContext ctx;
-  ctx.config = &config;
-  ctx.firmware_from = &firmware_from;
-  ctx.firmware_to = &firmware_to;
-  ctx.snapshot_from = &snapshot_from;
-  ctx.snapshot_to = &snapshot_to;
-  ctx.booted_from = &template_os_from;
-  ctx.booted_to = &template_os_to;
-  ctx.regions_from = DataRegions::For(firmware_from);
-  ctx.regions_to = DataRegions::For(firmware_to);
-  ctx.deploy = &deploy;
+  FleetCheckpoint identity;
+  identity.kind = FleetCheckpointKind::kCampaign;
+  identity.config_text = CampaignConfigCanonical(
+      config, from->firmware_hash, to->firmware_hash,
+      Fnv1a64(deploy_bytes.data(), deploy_bytes.size()));
+  identity.config_hash =
+      Fnv1a64(reinterpret_cast<const uint8_t*>(identity.config_text.data()),
+              identity.config_text.size());
+  identity.template_snapshot = from->snapshot;
+  identity.device_count = device_count;
 
   CampaignReport report;
   report.config = config;
-  report.snapshot_bytes = snapshot_from.bytes.size() + snapshot_to.bytes.size();
+  report.snapshot_bytes = from->snapshot.bytes.size() + to->snapshot.bytes.size();
   report.boot_seconds = SecondsSince(boot_t0);
   report.devices.resize(static_cast<size_t>(device_count));
   for (int i = 0; i < device_count; ++i) {
@@ -338,11 +270,21 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     report.devices[static_cast<size_t>(i)].firmware_version = config.from_version;
   }
 
-  std::vector<bool> completed(static_cast<size_t>(device_count), false);
+  fleet_internal::DeviceRunner runner(
+      config.fleet, "campaign", std::move(identity), &report.metrics, &report.faults,
+      [&](FleetCheckpoint* cp) {
+        for (int i = 0; i < device_count; ++i) {
+          if (!cp->completed[static_cast<size_t>(i)]) {
+            continue;
+          }
+          const CampaignDeviceRow& row = report.devices[static_cast<size_t>(i)];
+          cp->devices.push_back(row.stats);
+          cp->campaign_devices.push_back({i, static_cast<uint8_t>(row.outcome),
+                                          row.firmware_version, row.verify_cycles});
+        }
+      });
   if (resume != nullptr) {
-    completed = resume->completed;
-    report.metrics = resume->metrics;
-    report.faults = resume->faults;
+    RETURN_IF_ERROR(runner.Resume(*resume));
     report.resumed_devices = resume->CompletedCount();
     for (const DeviceStats& d : resume->devices) {
       report.devices[static_cast<size_t>(d.device_id)].stats = d;
@@ -354,112 +296,26 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
       row.verify_cycles = rec.verify_cycles;
     }
   }
+  report.config.fleet.jobs = runner.thread_count();
 
-  const std::vector<int> order = CampaignRolloutOrder(device_count, config.rollout_seed);
-
-  std::vector<Status> device_status(static_cast<size_t>(device_count));
-  const auto run_t0 = std::chrono::steady_clock::now();
-
-  const bool checkpointing = !config.fleet.checkpoint_path.empty();
-  std::mutex merge_mu;
-  Status checkpoint_status;          // guarded by merge_mu
-  int devices_since_checkpoint = 0;  // guarded by merge_mu
-  auto last_checkpoint = run_t0;     // guarded by merge_mu
-  int completed_this_run = 0;        // guarded by merge_mu
-  bool aborted = false;              // guarded by merge_mu
-  std::atomic<bool> cancel_requested{false};
-  std::optional<Executor> executor;
-  if (config.fleet.jobs == 1) {
-    report.config.fleet.jobs = 1;
-  } else {
-    executor.emplace(config.fleet.jobs);
-    report.config.fleet.jobs = executor->thread_count();
-  }
-
-  auto request_cancel = [&] {
-    cancel_requested.store(true, std::memory_order_relaxed);
-    if (executor.has_value()) {
-      executor->Cancel();
-    }
-  };
-
-  auto build_checkpoint = [&] {
-    FleetCheckpoint cp;
-    cp.kind = FleetCheckpointKind::kCampaign;
-    cp.config_hash = config_hash;
-    cp.config_text = canonical;
-    cp.template_snapshot = snapshot_from;
-    cp.metrics = report.metrics;
-    cp.faults = report.faults;
-    cp.completed = completed;
-    cp.device_count = device_count;
-    for (int i = 0; i < device_count; ++i) {
-      if (!completed[static_cast<size_t>(i)]) {
-        continue;
-      }
-      const CampaignDeviceRow& row = report.devices[static_cast<size_t>(i)];
-      cp.devices.push_back(row.stats);
-      CampaignDeviceRecord rec;
-      rec.device_id = i;
-      rec.outcome = static_cast<uint8_t>(row.outcome);
-      rec.firmware_version = row.firmware_version;
-      rec.verify_cycles = row.verify_cycles;
-      cp.campaign_devices.push_back(rec);
-    }
-    return cp;
-  };
-
-  auto run_one = [&](int id) {
-    CampaignDeviceRow& row = report.devices[static_cast<size_t>(id)];
-    Status status;
-    FaultLedger device_ledger;
-    if (config.fleet.fail_device_id == id) {
-      status = InternalError(StrFormat("injected failure on device %d", id));
-    } else {
-      CampaignDeviceRow fresh;
-      status = RunCampaignDevice(id, ctx, &fresh, &device_ledger);
-      if (status.ok()) {
-        row = fresh;
-      }
-    }
-    device_status[static_cast<size_t>(id)] = status;
-    MetricRegistry device_metrics;
-    if (status.ok()) {
-      RecordCampaignDeviceMetrics(row, &device_metrics);
-    }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    if (!status.ok()) {
-      request_cancel();
-      return;
-    }
-    report.metrics.Merge(device_metrics);
-    report.faults.Merge(device_ledger);
-    completed[static_cast<size_t>(id)] = true;
-    ++completed_this_run;
-    if (config.fleet.abort_after_devices > 0 &&
-        completed_this_run >= config.fleet.abort_after_devices && !aborted) {
-      aborted = true;
-      request_cancel();
-    }
-    if (checkpointing && checkpoint_status.ok() &&
-        (devices_since_checkpoint + 1 >=
-             std::max(1, config.fleet.checkpoint_every_devices) ||
-         SecondsSince(last_checkpoint) >= config.fleet.checkpoint_every_seconds)) {
-      checkpoint_status =
-          WriteFleetCheckpoint(config.fleet.checkpoint_path, build_checkpoint());
-      devices_since_checkpoint = 0;
-      last_checkpoint = std::chrono::steady_clock::now();
-      if (!checkpoint_status.ok()) {
-        request_cancel();
-      }
-    } else {
-      ++devices_since_checkpoint;
-    }
+  CampaignContext ctx;
+  ctx.config = &config;
+  ctx.from = from.get();
+  ctx.to = to.get();
+  ctx.deploy = &deploy;
+  auto body = [&](int id, MetricRegistry* metrics, FaultLedger* ledger) -> Status {
+    CampaignDeviceRow row;
+    RETURN_IF_ERROR(RunCampaignDevice(id, ctx, &row, ledger));
+    RecordCampaignDeviceMetrics(row, metrics);
+    report.devices[static_cast<size_t>(id)] = row;
+    return OkStatus();
   };
 
   // Stage loop: each stage runs its not-yet-completed slice of the rollout
   // order, then its failure rate is evaluated over ALL its devices (restored
   // rows included) — so a resumed campaign replays identical abort decisions.
+  const std::vector<int> order = CampaignRolloutOrder(device_count, config.rollout_seed);
+  const auto run_t0 = std::chrono::steady_clock::now();
   size_t stage_begin = 0;
   for (size_t s = 0; s < config.stages.size(); ++s) {
     const CampaignStage& stage = config.stages[s];
@@ -469,28 +325,15 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
             100);
     std::vector<int> todo;
     for (size_t k = stage_begin; k < stage_end; ++k) {
-      const int id = order[k];
-      if (!completed[static_cast<size_t>(id)]) {
-        todo.push_back(id);
+      if (!runner.completed(order[k])) {
+        todo.push_back(order[k]);
       }
     }
     if (config.fleet.verbosity >= 1) {
       std::fprintf(stderr, "campaign: stage %zu (%d%%): %zu device(s), %zu to run\n", s,
                    stage.percent, stage_end - stage_begin, todo.size());
     }
-    if (!todo.empty()) {
-      if (!executor.has_value()) {
-        for (int id : todo) {
-          if (cancel_requested.load(std::memory_order_relaxed)) {
-            break;
-          }
-          run_one(id);
-        }
-      } else {
-        executor->ParallelFor(todo.size(), [&](size_t i) { run_one(todo[i]); });
-      }
-    }
-    if (cancel_requested.load(std::memory_order_relaxed)) {
+    if (!runner.Run(todo, body)) {
       // Kill, device failure, or checkpoint failure mid-stage; the stage is
       // incomplete, so no threshold decision is made here.
       break;
@@ -530,29 +373,7 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     stage_begin = stage_end;
   }
   report.run_seconds = SecondsSince(run_t0);
-
-  // Final checkpoint on every exit path, so no completed device's work is
-  // ever lost.
-  if (checkpointing && checkpoint_status.ok()) {
-    checkpoint_status =
-        WriteFleetCheckpoint(config.fleet.checkpoint_path, build_checkpoint());
-  }
-
-  for (int id = 0; id < device_count; ++id) {
-    if (!device_status[static_cast<size_t>(id)].ok()) {
-      const Status& s = device_status[static_cast<size_t>(id)];
-      return Status(s.code(), StrFormat("device %d: %s", id, s.message().c_str()));
-    }
-  }
-  if (!checkpoint_status.ok()) {
-    return checkpoint_status;
-  }
-  if (aborted) {
-    return CancelledError(
-        StrFormat("campaign cancelled after %d completed device(s) this run "
-                  "(abort_after_devices=%d)",
-                  completed_this_run, config.fleet.abort_after_devices));
-  }
+  RETURN_IF_ERROR(runner.Finish());
 
   // Devices a threshold abort left untouched stay on the old version; fold
   // them into the report-level version-skew counters (NOT the checkpointed
@@ -614,18 +435,8 @@ Result<CampaignReport> ResumeCampaign(const CampaignConfig& config) {
 std::string CampaignDigest(const CampaignReport& report) {
   std::string out;
   for (const CampaignDeviceRow& row : report.devices) {
-    const DeviceStats& d = row.stats;
-    out += StrFormat("d%d:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%a,o%d,v%u,vc%llu\n",
-                     d.device_id, static_cast<unsigned long long>(d.cycles),
-                     static_cast<unsigned long long>(d.data_accesses),
-                     static_cast<unsigned long long>(d.syscalls),
-                     static_cast<unsigned long long>(d.dispatches),
-                     static_cast<unsigned long long>(d.faults),
-                     static_cast<unsigned long long>(d.pucs),
-                     static_cast<unsigned long long>(d.watchdog_resets),
-                     static_cast<unsigned long long>(d.instructions),
-                     d.battery_impact_percent, static_cast<int>(row.outcome),
-                     row.firmware_version,
+    out += fleet_internal::DeviceDigestRow(row.stats) +
+           StrFormat(",o%d,v%u,vc%llu\n", static_cast<int>(row.outcome), row.firmware_version,
                      static_cast<unsigned long long>(row.verify_cycles));
   }
   for (size_t s = 0; s < report.stages.size(); ++s) {

@@ -6,6 +6,7 @@
 
 #include "src/apps/app_sources.h"
 #include "src/common/strings.h"
+#include "src/fleet/device.h"
 #include "src/ota/image.h"
 
 namespace amulet {
@@ -93,14 +94,9 @@ std::vector<uint8_t> EncodeFleetCheckpoint(const FleetCheckpoint& checkpoint) {
   w.U32(static_cast<uint32_t>(checkpoint.devices.size()));
   for (const DeviceStats& d : checkpoint.devices) {
     w.U32(static_cast<uint32_t>(d.device_id));
-    w.U64(d.cycles);
-    w.U64(d.data_accesses);
-    w.U64(d.syscalls);
-    w.U64(d.dispatches);
-    w.U64(d.faults);
-    w.U64(d.pucs);
-    w.U64(d.watchdog_resets);
-    w.U64(d.instructions);
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      w.U64(d.*c.stat);
+    }
     w.F64(d.battery_impact_percent);
   }
   w.EndSection();
@@ -245,14 +241,9 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
   for (uint32_t i = 0; r.ok() && i < device_rows; ++i) {
     DeviceStats d;
     d.device_id = static_cast<int>(r.U32());
-    d.cycles = r.U64();
-    d.data_accesses = r.U64();
-    d.syscalls = r.U64();
-    d.dispatches = r.U64();
-    d.faults = r.U64();
-    d.pucs = r.U64();
-    d.watchdog_resets = r.U64();
-    d.instructions = r.U64();
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      d.*c.stat = r.U64();
+    }
     d.battery_impact_percent = r.F64();
     out.devices.push_back(d);
   }

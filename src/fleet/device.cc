@@ -1,8 +1,11 @@
 #include "src/fleet/device.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "src/common/strings.h"
+#include "src/ota/image.h"
 
 namespace amulet {
 namespace fleet_internal {
@@ -181,6 +184,191 @@ Status ClonedDevice::Run(uint64_t sim_ms, const DataRegions& regions, DeviceStat
   return OkStatus();
 }
 
+Result<std::unique_ptr<ClonedDevice>> CohortRuntime::Clone(uint32_t device_seed,
+                                                           const FleetConfig& config) const {
+  return ClonedDevice::Clone(device_seed, config.fram_wait_states, firmware, snapshot, *os,
+                             config.predecode, config.flight_recorder);
+}
+
+Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
+                                                  const FleetConfig& config) {
+  auto runtime = std::make_unique<CohortRuntime>();
+  runtime->cohort = cohort;
+  ASSIGN_OR_RETURN(std::vector<AppSource> sources, ResolveApps(&runtime->cohort.apps));
+  AftOptions aft;
+  aft.model = cohort.model;
+  aft.optimize_checks = config.check_opt;
+  ASSIGN_OR_RETURN(runtime->firmware, BuildFirmware(sources, aft));
+  runtime->regions = DataRegions::For(runtime->firmware);
+
+  runtime->machine = std::make_unique<Machine>();
+  runtime->machine->cpu().set_predecode(config.predecode);
+  OsOptions template_options;
+  template_options.fram_wait_states = config.fram_wait_states;
+  template_options.fault_policy = FaultPolicy::kRestartApp;
+  template_options.sensor_seed = config.fleet_seed;
+  runtime->os =
+      std::make_unique<AmuletOs>(runtime->machine.get(), runtime->firmware, template_options);
+  RETURN_IF_ERROR(runtime->os->Boot());
+  runtime->snapshot = CaptureSnapshot(*runtime->machine);
+  runtime->firmware_hash = FirmwareImageHash(runtime->firmware.image);
+  return runtime;
+}
+
+DeviceRunner::DeviceRunner(const FleetConfig& config, const char* label,
+                           FleetCheckpoint identity, MetricRegistry* metrics,
+                           FaultLedger* ledger, std::function<void(FleetCheckpoint*)> add_rows)
+    : config_(config),
+      label_(label),
+      identity_(std::move(identity)),
+      metrics_(metrics),
+      ledger_(ledger),
+      add_rows_(std::move(add_rows)),
+      executor_(config.jobs),
+      completed_(static_cast<size_t>(identity_.device_count), false),
+      last_checkpoint_(std::chrono::steady_clock::now()) {}
+
+Status DeviceRunner::Resume(const FleetCheckpoint& resume) {
+  const FleetCheckpoint& run = identity_;
+  if (resume.kind != run.kind) {
+    return InvalidArgumentError(
+        run.kind == FleetCheckpointKind::kFleet
+            ? "checkpoint was written by a campaign run; resume it with the campaign driver"
+            : "checkpoint was written by a plain fleet run; resume it without --campaign");
+  }
+  // Specific shard/profile mismatches before the generic config-hash check,
+  // so a wrong --shard or --profile names both values instead of dumping two
+  // canonical strings.
+  if (resume.shard_index != run.shard_index || resume.shard_count != run.shard_count) {
+    const ShardRange ckpt = ShardRangeFor(run.device_count, resume.shard_index, resume.shard_count);
+    const ShardRange want = ShardRangeFor(run.device_count, run.shard_index, run.shard_count);
+    return InvalidArgumentError(StrFormat(
+        "checkpoint shard mismatch: checkpoint covers shard %d/%d (devices [%d, %d)), "
+        "this run requests shard %d/%d (devices [%d, %d))",
+        resume.shard_index, resume.shard_count, ckpt.lo, ckpt.hi, run.shard_index,
+        run.shard_count, want.lo, want.hi));
+  }
+  if (resume.profile_hash != run.profile_hash) {
+    return InvalidArgumentError(StrFormat(
+        "checkpoint profile mismatch: checkpoint profile hash %016llx [%s], this run's "
+        "profile hash %016llx [%s]",
+        static_cast<unsigned long long>(resume.profile_hash),
+        resume.profile_hash == 0 ? "homogeneous" : resume.profile_text.c_str(),
+        static_cast<unsigned long long>(run.profile_hash),
+        run.profile_hash == 0 ? "homogeneous" : run.profile_text.c_str()));
+  }
+  if (resume.config_hash != run.config_hash) {
+    return InvalidArgumentError(
+        StrFormat("checkpoint config mismatch: checkpoint was written by [%s], this run is [%s]",
+                  resume.config_text.c_str(), run.config_text.c_str()));
+  }
+  if (resume.template_snapshot.bytes != run.template_snapshot.bytes) {
+    return InvalidArgumentError(
+        "checkpoint template snapshot does not match the one this build and config produce");
+  }
+  *metrics_ = resume.metrics;
+  *ledger_ = resume.faults;
+  completed_ = resume.completed;
+  return OkStatus();
+}
+
+bool DeviceRunner::Run(const std::vector<int>& ids, const Body& body) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    batch_size_ = ids.size();
+    batch_done_ = 0;
+    batch_start_ = last_progress_ = std::chrono::steady_clock::now();
+  }
+  executor_.ParallelFor(ids.size(), [&](size_t k) {
+    if (!cancelled_.load(std::memory_order_relaxed)) {
+      RunOne(ids[k], body);
+    }
+  });
+  return !cancelled_.load(std::memory_order_relaxed);
+}
+
+void DeviceRunner::RunOne(int id, const Body& body) {
+  MetricRegistry device_metrics;
+  FaultLedger device_ledger;
+  const Status status = id == config_.fail_device_id
+                            ? InternalError(StrFormat("injected failure on device %d", id))
+                            : body(id, &device_metrics, &device_ledger);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++batch_done_;
+  if (!status.ok()) {
+    if (failure_.ok() || id < failure_id_) {
+      failure_ = status;
+      failure_id_ = id;
+    }
+    cancelled_.store(true, std::memory_order_relaxed);
+    return;
+  }
+  // Merge order varies with scheduling; the registry's and ledger's integer
+  // state makes the result order-independent.
+  metrics_->Merge(device_metrics);
+  ledger_->Merge(device_ledger);
+  completed_[static_cast<size_t>(id)] = true;
+  ++completed_this_run_;
+  if (config_.abort_after_devices > 0 && completed_this_run_ >= config_.abort_after_devices) {
+    cancelled_.store(true, std::memory_order_relaxed);
+  }
+  if (!config_.checkpoint_path.empty() && checkpoint_status_.ok()) {
+    ++since_checkpoint_;
+    if (since_checkpoint_ >= std::max(1, config_.checkpoint_every_devices) ||
+        SecondsSince(last_checkpoint_) >= config_.checkpoint_every_seconds) {
+      checkpoint_status_ = WriteFleetCheckpoint(config_.checkpoint_path, Checkpoint());
+      since_checkpoint_ = 0;
+      last_checkpoint_ = std::chrono::steady_clock::now();
+      if (!checkpoint_status_.ok()) {
+        cancelled_.store(true, std::memory_order_relaxed);
+      }
+    }
+  }
+  const size_t step = std::max<size_t>(1, batch_size_ / 20);
+  if (config_.verbosity >= 1 && (batch_done_ == batch_size_ || batch_done_ % step == 0 ||
+                                 SecondsSince(last_progress_) >= 2.0)) {
+    last_progress_ = std::chrono::steady_clock::now();
+    const double elapsed = SecondsSince(batch_start_);
+    const double rate = elapsed > 0 ? static_cast<double>(batch_done_) / elapsed : 0.0;
+    const double eta = rate > 0 ? static_cast<double>(batch_size_ - batch_done_) / rate : 0.0;
+    std::fprintf(stderr, "%s: %zu/%zu devices (%.1f devices/s, ETA %.1f s)\n", label_,
+                 batch_done_, batch_size_, rate, eta);
+  }
+}
+
+FleetCheckpoint DeviceRunner::Checkpoint() const {
+  FleetCheckpoint cp = identity_;
+  cp.metrics = *metrics_;
+  cp.faults = *ledger_;
+  cp.completed = completed_;
+  add_rows_(&cp);
+  return cp;
+}
+
+Status DeviceRunner::Finish() {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The final checkpoint is written on every exit path — success, device
+  // error, abort — so no completed device's work is ever lost.
+  if (!config_.checkpoint_path.empty() && checkpoint_status_.ok()) {
+    checkpoint_status_ = WriteFleetCheckpoint(config_.checkpoint_path, Checkpoint());
+  }
+  if (!failure_.ok()) {
+    return Status(failure_.code(),
+                  StrFormat("device %d: %s", failure_id_, failure_.message().c_str()));
+  }
+  RETURN_IF_ERROR(checkpoint_status_);
+  if (config_.abort_after_devices > 0 && completed_this_run_ >= config_.abort_after_devices) {
+    return CancelledError(StrFormat(
+        "%s run cancelled after %d completed device(s) this run (abort_after_devices=%d)",
+        label_, completed_this_run_, config_.abort_after_devices));
+  }
+  return OkStatus();
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 double BatteryPercentFor(uint64_t cycles, uint64_t sim_ms, const EnergyModel& energy) {
   if (sim_ms == 0) {
     return 0;
@@ -199,23 +387,20 @@ uint64_t BatteryMicroPercent(double percent) {
 
 void RecordDeviceMetrics(const DeviceStats& stats, MetricRegistry* m) {
   m->Add("fleet.devices", 1);
-  m->Add("fleet.cycles", stats.cycles);
-  m->Add("fleet.data_accesses", stats.data_accesses);
-  m->Add("fleet.syscalls", stats.syscalls);
-  m->Add("fleet.dispatches", stats.dispatches);
-  m->Add("fleet.faults", stats.faults);
-  m->Add("fleet.pucs", stats.pucs);
-  m->Add("fleet.watchdog_resets", stats.watchdog_resets);
-  m->Add("fleet.instructions", stats.instructions);
-  m->Observe("device.cycles", stats.cycles);
-  m->Observe("device.data_accesses", stats.data_accesses);
-  m->Observe("device.syscalls", stats.syscalls);
-  m->Observe("device.dispatches", stats.dispatches);
-  m->Observe("device.faults", stats.faults);
-  m->Observe("device.pucs", stats.pucs);
-  m->Observe("device.watchdog_resets", stats.watchdog_resets);
-  m->Observe("device.instructions", stats.instructions);
+  for (const DeviceCounter& c : kDeviceCounters) {
+    m->Add(std::string("fleet.") + c.name, stats.*c.stat);
+    m->Observe(std::string("device.") + c.name, stats.*c.stat);
+  }
   m->Observe("device.battery_upct", BatteryMicroPercent(stats.battery_impact_percent));
+}
+
+std::string DeviceDigestRow(const DeviceStats& stats) {
+  std::string out = StrFormat("d%d:", stats.device_id);
+  for (const DeviceCounter& c : kDeviceCounters) {
+    out += StrFormat("%llu,", static_cast<unsigned long long>(stats.*c.stat));
+  }
+  out += StrFormat("%a", stats.battery_impact_percent);
+  return out;
 }
 
 }  // namespace fleet_internal

@@ -1,13 +1,19 @@
-// Internal helpers shared by the fleet engine (fleet.cc) and the OTA
-// campaign driver (campaign.cc): per-device seeding, app-name resolution,
-// data-region bookkeeping, and the clone-and-run body that turns a template
-// snapshot into one simulated device's counter deltas. Not part of the
-// public fleet API.
+// Internal run engine shared by plain fleet runs (fleet.cc) and OTA
+// campaigns (campaign.cc): per-device seeding, app-name resolution,
+// data-region bookkeeping, the template boot every device clones from
+// (BootCohort), the clone-and-run step that turns a template snapshot into
+// one simulated device's counter deltas, the table of those counters, and
+// the runner that takes a list of devices through a per-device body
+// (DeviceRunner). Not part of the public fleet API.
 #ifndef SRC_FLEET_DEVICE_H_
 #define SRC_FLEET_DEVICE_H_
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,8 +21,11 @@
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
 #include "src/common/status.h"
+#include "src/fleet/checkpoint.h"
+#include "src/fleet/executor.h"
 #include "src/fleet/fault_ledger.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/profile.h"
 #include "src/mcu/machine.h"
 #include "src/os/os.h"
 #include "src/scope/flight_recorder.h"
@@ -111,6 +120,107 @@ class ClonedDevice {
   FlightRecorder flight_;
 };
 
+// One cohort's boot products: its firmware build, the booted template
+// machine, and the snapshot every device of that cohort clones from. A fleet
+// boots one per population cohort (a homogeneous fleet is one implicit
+// cohort from config.apps/config.model); a campaign boots one for the old
+// and one for the new firmware.
+struct CohortRuntime {
+  Cohort cohort;  // apps resolved
+  Firmware firmware;
+  DataRegions regions;
+  std::unique_ptr<Machine> machine;
+  std::unique_ptr<AmuletOs> os;
+  MachineSnapshot snapshot;
+  uint64_t firmware_hash = 0;
+
+  // A device cloned from this cohort's template with `config`'s wait
+  // states, core and flight-recorder settings.
+  Result<std::unique_ptr<ClonedDevice>> Clone(uint32_t device_seed,
+                                              const FleetConfig& config) const;
+};
+
+// The only template-boot path: builds the cohort's firmware with
+// config.check_opt, boots it once (image load plus every on_init) and
+// snapshots the machine.
+Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
+                                                  const FleetConfig& config);
+
+// Drives a run's devices through a per-device body on the executor and owns
+// everything around the body, for a plain fleet run and for every stage of a
+// campaign alike: the fail_device_id hook; merging each finished device's
+// registry, ledger and completed bit into the run under one lock;
+// abort_after_devices; the checkpoint cadence; fail-fast, where the first
+// failure stops every body not yet started and the lowest failing id is the
+// one reported; the --verbose progress line; and the final checkpoint.
+class DeviceRunner {
+ public:
+  // Simulates device `id`: fills the caller's result slot for `id`, records
+  // the device's metrics into `metrics` and its faults into `ledger`. Both
+  // are merged into the run only when the body returns OK.
+  using Body = std::function<Status(int id, MetricRegistry* metrics, FaultLedger* ledger)>;
+
+  // `identity` is the checkpoint header of this run: kind, config hash and
+  // text, template snapshot, device_count, shard slice and profile. The run
+  // merges devices into `*metrics` and `*ledger` (the report's). Every
+  // checkpoint is `identity` plus the merged state plus whatever `add_rows`
+  // appends for the completed devices; `add_rows` runs under the merge lock.
+  // `label` prefixes progress lines and the abort message.
+  DeviceRunner(const FleetConfig& config, const char* label, FleetCheckpoint identity,
+               MetricRegistry* metrics, FaultLedger* ledger,
+               std::function<void(FleetCheckpoint*)> add_rows);
+
+  // Validates `resume` against the identity (kind, shard slice, profile,
+  // config hash, template snapshot) and adopts its merged metrics, ledger and
+  // completed bitmap. Call before the first Run.
+  Status Resume(const FleetCheckpoint& resume);
+
+  // Runs `body` for every id on the executor. Returns false once the run is
+  // cancelled (device failure, abort_after_devices, checkpoint error);
+  // bodies not yet started when that happens never run.
+  bool Run(const std::vector<int>& ids, const Body& body);
+
+  // Writes the final checkpoint, then returns the run's outcome: the lowest
+  // failing device's error, a checkpoint write error, kCancelled after
+  // abort_after_devices, or OK. Call once, after the last Run.
+  Status Finish();
+
+  // Whether device `id` has finished (restored or run); not while Run is
+  // active.
+  bool completed(int id) const { return completed_[static_cast<size_t>(id)]; }
+  int thread_count() const { return executor_.thread_count(); }
+
+ private:
+  void RunOne(int id, const Body& body);
+  FleetCheckpoint Checkpoint() const;  // mu_ held
+
+  const FleetConfig& config_;
+  const char* label_;
+  const FleetCheckpoint identity_;
+  MetricRegistry* metrics_;
+  FaultLedger* ledger_;
+  const std::function<void(FleetCheckpoint*)> add_rows_;
+  const Executor executor_;
+  std::atomic<bool> cancelled_{false};
+
+  std::mutex mu_;  // guards every member below
+  std::vector<bool> completed_;
+  Status failure_;  // the lowest-id failure so far
+  int failure_id_ = -1;
+  Status checkpoint_status_;
+  int completed_this_run_ = 0;
+  int since_checkpoint_ = 0;
+  std::chrono::steady_clock::time_point last_checkpoint_;
+  size_t batch_size_ = 0;  // progress of the current Run call
+  size_t batch_done_ = 0;
+  std::chrono::steady_clock::time_point batch_start_;
+  std::chrono::steady_clock::time_point last_progress_;
+};
+
+// Wall-clock seconds since `t0`: report timings, checkpoint and progress
+// cadence.
+double SecondsSince(std::chrono::steady_clock::time_point t0);
+
 // Weekly battery cost of `cycles` measured over a `sim_ms` span.
 double BatteryPercentFor(uint64_t cycles, uint64_t sim_ms, const EnergyModel& energy);
 
@@ -118,10 +228,46 @@ double BatteryPercentFor(uint64_t cycles, uint64_t sim_ms, const EnergyModel& en
 // fleet digest) stays bit-identical regardless of merge order.
 uint64_t BatteryMicroPercent(double percent);
 
+// One of the eight integer DeviceStats counters. kDeviceCounters lists them
+// in digest and checkpoint-row order, and every per-counter list in the
+// engine (aggregates, registry metrics, digests, the report table, AMFC rows)
+// is a loop over it. battery_impact_percent is the one derived,
+// floating-point column and is handled beside each loop.
+struct DeviceCounter {
+  const char* name;   // registry names: "fleet.<name>" total, "device.<name>" histogram
+  const char* label;  // fleet report row
+  uint64_t DeviceStats::*stat;
+  StatSummary FleetAggregate::*summary;
+  uint64_t FleetAggregate::*total;
+};
+
+inline constexpr DeviceCounter kDeviceCounters[] = {
+    {"cycles", "cycles", &DeviceStats::cycles, &FleetAggregate::cycles,
+     &FleetAggregate::total_cycles},
+    {"data_accesses", "data accesses", &DeviceStats::data_accesses,
+     &FleetAggregate::data_accesses, &FleetAggregate::total_data_accesses},
+    {"syscalls", "syscalls", &DeviceStats::syscalls, &FleetAggregate::syscalls,
+     &FleetAggregate::total_syscalls},
+    {"dispatches", "dispatches", &DeviceStats::dispatches, &FleetAggregate::dispatches,
+     &FleetAggregate::total_dispatches},
+    {"faults", "faults", &DeviceStats::faults, &FleetAggregate::faults,
+     &FleetAggregate::total_faults},
+    {"pucs", "PUCs", &DeviceStats::pucs, &FleetAggregate::pucs, &FleetAggregate::total_pucs},
+    {"watchdog_resets", "WDT resets", &DeviceStats::watchdog_resets,
+     &FleetAggregate::watchdog_resets, &FleetAggregate::total_watchdog_resets},
+    {"instructions", "instructions", &DeviceStats::instructions,
+     &FleetAggregate::instructions, &FleetAggregate::total_instructions},
+};
+
 // One device's contribution to the streaming registry. The registry a device
 // produces is merged into the fleet-wide one and discarded, so aggregation
 // memory never grows with device_count.
 void RecordDeviceMetrics(const DeviceStats& stats, MetricRegistry* m);
+
+// The digest line of one device row, "d<id>:<counters...>,<battery>" without
+// a newline; FleetDigest ends it there and CampaignDigest appends the OTA
+// outcome columns first.
+std::string DeviceDigestRow(const DeviceStats& stats);
 
 }  // namespace fleet_internal
 }  // namespace amulet

@@ -1,5 +1,10 @@
 #include "src/fleet/executor.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace amulet {
 
 int Executor::DefaultThreadCount() {
@@ -7,118 +12,24 @@ int Executor::DefaultThreadCount() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-Executor::Executor(int threads) {
-  const int n = threads > 0 ? threads : DefaultThreadCount();
-  queues_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
-  }
-}
+Executor::Executor(int threads) : threads_(threads > 0 ? threads : DefaultThreadCount()) {}
 
-Executor::~Executor() {
-  Wait();
-  {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    stop_ = true;
-  }
-  sleep_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-}
-
-void Executor::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    ++pending_;
-  }
-  const size_t index = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[index]->mu);
-    queues_[index]->tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++epoch_;
-  }
-  sleep_cv_.notify_all();
-}
-
-bool Executor::TryTake(size_t self, std::function<void()>* task) {
-  {
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
+void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) const {
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
     }
+  };
+  // Never more threads than items. The jthreads join when `workers` goes out
+  // of scope, which is what publishes their writes to the caller.
+  const size_t threads = std::min(n, static_cast<size_t>(threads_));
+  std::vector<std::jthread> workers;
+  for (size_t t = 1; t < threads; ++t) {
+    workers.emplace_back(drain);
   }
-  // Steal from the back of a peer's deque (oldest-first locally, newest-first
-  // remotely keeps the owner's cache-warm work with the owner).
-  for (size_t i = 1; i < queues_.size(); ++i) {
-    WorkerQueue& victim = *queues_[(self + i) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void Executor::RunTask(std::function<void()>& task) {
-  if (!cancelled()) {
-    task();
-  }
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    drained = --pending_ == 0;
-  }
-  if (drained) {
-    wait_cv_.notify_all();
-  }
-}
-
-void Executor::WorkerLoop(size_t self) {
-  for (;;) {
-    std::function<void()> task;
-    uint64_t seen_epoch;
-    {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      if (stop_) {
-        return;
-      }
-      seen_epoch = epoch_;
-    }
-    if (TryTake(self, &task)) {
-      RunTask(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleep_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-    if (stop_) {
-      return;
-    }
-  }
-}
-
-void Executor::Wait() {
-  std::unique_lock<std::mutex> lock(wait_mu_);
-  wait_cv_.wait(lock, [&] { return pending_ == 0; });
-}
-
-void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  for (size_t i = 0; i < n && !cancelled(); ++i) {
-    Submit([&body, i] { body(i); });
-  }
-  Wait();
+  drain();
 }
 
 }  // namespace amulet

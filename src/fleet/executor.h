@@ -1,93 +1,43 @@
-// Work-stealing thread-pool executor for host-side parallelism (fleet device
-// runs, benchmark sweeps). Each worker owns a deque; submitted tasks are
-// distributed round-robin and idle workers steal from the back of their
-// peers' deques, so uneven task lengths (devices that fault and restart,
-// apps with heavier handlers) do not leave cores idle.
+// Host-side parallel loop for independent work items (fleet device runs,
+// benchmark sweeps). ParallelFor(n, body) runs body(0) .. body(n-1) on
+// thread_count() threads, the calling thread included: each thread claims
+// the next unclaimed index from one atomic counter until none are left, so
+// uneven item lengths (devices that fault and restart, apps with heavier
+// handlers) balance themselves without queues or stealing. With one thread
+// the loop runs inline on the caller, in index order.
 //
 // Determinism contract: the executor makes NO ordering guarantees between
-// tasks, so callers must make each task independent (own Machine, own RNG,
-// writing to its own pre-allocated result slot). Done that way, results are
-// bit-identical regardless of thread count — the property the fleet engine
-// and its tests rely on.
+// items on more than one thread, so callers must make each item independent
+// (own Machine, own RNG, writing to its own pre-allocated result slot). Done
+// that way, results are bit-identical regardless of thread count — the
+// property the fleet engine and its tests rely on. There is no cancellation
+// here: a caller that wants to stop early checks its own flag at the top of
+// the body.
 #ifndef SRC_FLEET_EXECUTOR_H_
 #define SRC_FLEET_EXECUTOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace amulet {
 
 class Executor {
  public:
-  // threads <= 0 selects DefaultThreadCount(). A single-thread executor is
-  // valid and runs everything serially on its one worker.
+  // threads <= 0 selects DefaultThreadCount().
   explicit Executor(int threads = 0);
-  ~Executor();
 
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
+  // Runs body(i) exactly once for every i in [0, n) and returns when all have
+  // finished. Worker threads live for one call, so an executor is reusable
+  // and holds no threads between calls.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& body) const;
 
-  // Enqueues a task. Tasks may Submit() further tasks.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished.
-  void Wait();
-
-  // Submits body(0) .. body(n-1) and waits for them (and any previously
-  // submitted tasks) to finish. Stops submitting early if Cancel() is
-  // called while the loop is still feeding the pool.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  // Cooperative fail-fast: after Cancel(), already-queued tasks are drained
-  // without running their bodies (they still count as finished for Wait()),
-  // and ParallelFor stops submitting new ones. Tasks already executing run
-  // to completion. The fleet engine uses this so one failed device stops
-  // the remaining million from being simulated. ResetCancel() re-arms a
-  // pool for reuse.
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  void ResetCancel() { cancelled_.store(false, std::memory_order_relaxed); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
-
-  int thread_count() const { return static_cast<int>(workers_.size()); }
+  int thread_count() const { return threads_; }
 
   // std::thread::hardware_concurrency(), with a floor of 1.
   static int DefaultThreadCount();
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(size_t self);
-  // Pops from own queue front, else steals from a peer's back.
-  bool TryTake(size_t self, std::function<void()>* task);
-  void RunTask(std::function<void()>& task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<size_t> next_queue_{0};
-  std::atomic<bool> cancelled_{false};
-
-  // Sleep/wake: epoch_ bumps on every Submit so a worker that raced a push
-  // never sleeps through it.
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  uint64_t epoch_ = 0;  // guarded by sleep_mu_
-  bool stop_ = false;   // guarded by sleep_mu_
-
-  // Completion tracking for Wait().
-  std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
-  size_t pending_ = 0;  // guarded by wait_mu_
+  int threads_;
 };
 
 }  // namespace amulet

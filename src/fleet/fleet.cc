@@ -1,85 +1,30 @@
 #include "src/fleet/fleet.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <utility>
 
-#include "src/aft/aft.h"
-#include "src/apps/app_sources.h"
 #include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/device.h"
-#include "src/fleet/executor.h"
-#include "src/os/os.h"
-#include "src/ota/image.h"
 
 namespace amulet {
 
 namespace {
 
 using fleet_internal::ClonedDevice;
-using fleet_internal::DataRegions;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-// One cohort's boot products: its firmware build, the booted template
-// machine, and the snapshot every device of that cohort clones from. A
-// homogeneous fleet is the degenerate case of exactly one implicit cohort
-// built from config.apps/config.model.
-struct CohortRuntime {
-  Cohort cohort;  // apps resolved; default 1/1/1 activity for the implicit cohort
-  Firmware firmware;
-  DataRegions regions;
-  std::unique_ptr<Machine> machine;
-  std::unique_ptr<AmuletOs> os;
-  MachineSnapshot snapshot;
-  uint64_t firmware_hash = 0;
-};
-
-Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
-                                                  const FleetConfig& config) {
-  auto runtime = std::make_unique<CohortRuntime>();
-  runtime->cohort = cohort;
-  ASSIGN_OR_RETURN(std::vector<AppSource> sources,
-                   fleet_internal::ResolveApps(&runtime->cohort.apps));
-  AftOptions aft;
-  aft.model = cohort.model;
-  aft.optimize_checks = config.check_opt;
-  ASSIGN_OR_RETURN(runtime->firmware, BuildFirmware(sources, aft));
-  runtime->regions = DataRegions::For(runtime->firmware);
-
-  // Template device: pays the image load and every on_init dispatch exactly
-  // once; every device of this cohort starts from its snapshot.
-  runtime->machine = std::make_unique<Machine>();
-  runtime->machine->cpu().set_predecode(config.predecode);
-  OsOptions template_options;
-  template_options.fram_wait_states = config.fram_wait_states;
-  template_options.fault_policy = FaultPolicy::kRestartApp;
-  template_options.sensor_seed = config.fleet_seed;
-  runtime->os =
-      std::make_unique<AmuletOs>(runtime->machine.get(), runtime->firmware, template_options);
-  RETURN_IF_ERROR(runtime->os->Boot());
-  runtime->snapshot = CaptureSnapshot(*runtime->machine);
-  runtime->firmware_hash = FirmwareImageHash(runtime->firmware.image);
-  return runtime;
-}
+using fleet_internal::CohortRuntime;
+using fleet_internal::DeviceCounter;
+using fleet_internal::kDeviceCounters;
+using fleet_internal::RecordDeviceMetrics;
+using fleet_internal::SecondsSince;
 
 Status RunDevice(int device_id, const FleetConfig& config, const CohortRuntime& cohort,
                  DeviceStats* out, FaultLedger* ledger) {
   // Pure function of (fleet_seed, GLOBAL device id): the same device gets the
   // same stream no matter which shard simulates it.
   const uint32_t device_seed = fleet_internal::DeviceSeed(config.fleet_seed, device_id);
-  ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device,
-                   ClonedDevice::Clone(device_seed, config.fram_wait_states,
-                                       cohort.firmware, cohort.snapshot, *cohort.os,
-                                       config.predecode, config.flight_recorder));
+  ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device, cohort.Clone(device_seed, config));
   // The cohort's rest/walk/run weights shape the activity draw; the default
   // 1/1/1 weights reproduce the mode Clone already applied.
   device->os().sensors().set_mode(ActivityForDevice(cohort.cohort, device_seed));
@@ -92,8 +37,6 @@ Status RunDevice(int device_id, const FleetConfig& config, const CohortRuntime& 
   return OkStatus();
 }
 
-using fleet_internal::RecordDeviceMetrics;
-
 void Aggregate(FleetReport* report) {
   // Only this report's shard slice: rows outside it are untouched slots
   // (another shard's devices).
@@ -101,37 +44,22 @@ void Aggregate(FleetReport* report) {
                                          report->config.shard_index,
                                          report->config.shard_count);
   const size_t n = static_cast<size_t>(range.size());
-  std::vector<double> cycles(n), data(n), syscalls(n), dispatches(n), faults(n), pucs(n),
-      wdt(n), instructions(n), battery(n);
+  const DeviceStats* rows = report->devices.data() + range.lo;
   FleetAggregate& agg = report->aggregate;
-  for (size_t i = 0; i < n; ++i) {
-    const DeviceStats& d = report->devices[static_cast<size_t>(range.lo) + i];
-    cycles[i] = static_cast<double>(d.cycles);
-    data[i] = static_cast<double>(d.data_accesses);
-    syscalls[i] = static_cast<double>(d.syscalls);
-    dispatches[i] = static_cast<double>(d.dispatches);
-    faults[i] = static_cast<double>(d.faults);
-    pucs[i] = static_cast<double>(d.pucs);
-    wdt[i] = static_cast<double>(d.watchdog_resets);
-    instructions[i] = static_cast<double>(d.instructions);
-    battery[i] = d.battery_impact_percent;
-    agg.total_cycles += d.cycles;
-    agg.total_data_accesses += d.data_accesses;
-    agg.total_syscalls += d.syscalls;
-    agg.total_dispatches += d.dispatches;
-    agg.total_faults += d.faults;
-    agg.total_pucs += d.pucs;
-    agg.total_watchdog_resets += d.watchdog_resets;
-    agg.total_instructions += d.instructions;
+  for (const DeviceCounter& c : kDeviceCounters) {
+    std::vector<double> values(n);
+    uint64_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = static_cast<double>(rows[i].*c.stat);
+      total += rows[i].*c.stat;
+    }
+    agg.*c.summary = Summarize(std::move(values));
+    agg.*c.total = total;
   }
-  agg.cycles = Summarize(std::move(cycles));
-  agg.data_accesses = Summarize(std::move(data));
-  agg.syscalls = Summarize(std::move(syscalls));
-  agg.dispatches = Summarize(std::move(dispatches));
-  agg.faults = Summarize(std::move(faults));
-  agg.pucs = Summarize(std::move(pucs));
-  agg.watchdog_resets = Summarize(std::move(wdt));
-  agg.instructions = Summarize(std::move(instructions));
+  std::vector<double> battery(n);
+  for (size_t i = 0; i < n; ++i) {
+    battery[i] = rows[i].battery_impact_percent;
+  }
   agg.battery_impact_percent = Summarize(std::move(battery));
 }
 
@@ -139,15 +67,7 @@ void Aggregate(FleetReport* report) {
 // Totals and min/max/mean are exact; quantiles have log2-bucket resolution.
 void AggregateFromMetrics(FleetReport* report) {
   FleetAggregate& agg = report->aggregate;
-  agg.total_cycles = report->metrics.counter("fleet.cycles");
-  agg.total_data_accesses = report->metrics.counter("fleet.data_accesses");
-  agg.total_syscalls = report->metrics.counter("fleet.syscalls");
-  agg.total_dispatches = report->metrics.counter("fleet.dispatches");
-  agg.total_faults = report->metrics.counter("fleet.faults");
-  agg.total_pucs = report->metrics.counter("fleet.pucs");
-  agg.total_watchdog_resets = report->metrics.counter("fleet.watchdog_resets");
-  agg.total_instructions = report->metrics.counter("fleet.instructions");
-  auto fill = [&](const char* name, StatSummary* s, double scale) {
+  auto fill = [&](const std::string& name, StatSummary* s, double scale) {
     const LogHistogram* h = report->metrics.histogram(name);
     if (h == nullptr || h->count == 0) {
       return;
@@ -160,14 +80,10 @@ void AggregateFromMetrics(FleetReport* report) {
     s->p95 = static_cast<double>(h->Quantile(0.95)) * scale;
     s->p99 = static_cast<double>(h->Quantile(0.99)) * scale;
   };
-  fill("device.cycles", &agg.cycles, 1.0);
-  fill("device.data_accesses", &agg.data_accesses, 1.0);
-  fill("device.syscalls", &agg.syscalls, 1.0);
-  fill("device.dispatches", &agg.dispatches, 1.0);
-  fill("device.faults", &agg.faults, 1.0);
-  fill("device.pucs", &agg.pucs, 1.0);
-  fill("device.watchdog_resets", &agg.watchdog_resets, 1.0);
-  fill("device.instructions", &agg.instructions, 1.0);
+  for (const DeviceCounter& c : kDeviceCounters) {
+    agg.*c.total = report->metrics.counter(std::string("fleet.") + c.name);
+    fill(std::string("device.") + c.name, &(agg.*c.summary), 1.0);
+  }
   fill("device.battery_upct", &agg.battery_impact_percent, 1e-6);
 }
 
@@ -199,18 +115,17 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
   // One booted template per cohort; a homogeneous fleet gets exactly one
   // implicit cohort from config.apps/config.model with 1/1/1 activity
   // weights, reproducing the single-template behavior bit for bit.
-  std::vector<std::unique_ptr<CohortRuntime>> cohorts;
+  std::vector<Cohort> wanted = config.profile.cohorts;
   if (config.profile.empty()) {
-    Cohort implicit;
-    implicit.apps = config.apps;
-    implicit.model = config.model;
-    ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime, BootCohort(implicit, config));
+    wanted.emplace_back();
+    wanted.back().apps = config.apps;
+    wanted.back().model = config.model;
+  }
+  std::vector<std::unique_ptr<CohortRuntime>> cohorts;
+  for (const Cohort& cohort : wanted) {
+    ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime,
+                     fleet_internal::BootCohort(cohort, config));
     cohorts.push_back(std::move(runtime));
-  } else {
-    for (const Cohort& cohort : config.profile.cohorts) {
-      ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime, BootCohort(cohort, config));
-      cohorts.push_back(std::move(runtime));
-    }
   }
 
   // Profile identity: the resolved cohort list plus each cohort's firmware
@@ -221,63 +136,25 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     resolved_profile.cohorts.push_back(cohort->cohort);
     cohort_fw_hashes.push_back(cohort->firmware_hash);
   }
-  const uint64_t profile_hash =
-      config.profile.empty() ? 0 : ProfileHash(resolved_profile, cohort_fw_hashes);
-  const std::string profile_text =
-      config.profile.empty() ? std::string()
-                             : ProfileCanonical(resolved_profile, cohort_fw_hashes);
 
   // The checkpoint's template snapshot is cohort 0's; the other cohorts'
   // builds are pinned through the per-cohort firmware hashes in the profile
   // hash. The firmware image hash folds the template's loadable bytes into
   // the config identity, so resuming against a different build of the same
   // app list fails loudly instead of mixing incompatible device results.
-  const MachineSnapshot& snapshot = cohorts[0]->snapshot;
-  const std::string canonical =
-      FleetConfigCanonical(config, cohorts[0]->firmware_hash, profile_hash);
-  const uint64_t config_hash =
-      FleetConfigHash(config, cohorts[0]->firmware_hash, profile_hash);
-  const ShardRange shard_range =
-      ShardRangeFor(config.device_count, config.shard_index, config.shard_count);
-  if (resume != nullptr) {
-    if (resume->kind != FleetCheckpointKind::kFleet) {
-      return InvalidArgumentError(
-          "checkpoint was written by a campaign run; resume it with the campaign driver");
-    }
-    // Specific shard/profile mismatches before the generic config-hash check,
-    // so a wrong --shard or --profile names both values instead of dumping
-    // two canonical strings.
-    if (resume->shard_index != config.shard_index ||
-        resume->shard_count != config.shard_count) {
-      const ShardRange ckpt_range =
-          ShardRangeFor(config.device_count, resume->shard_index, resume->shard_count);
-      return InvalidArgumentError(StrFormat(
-          "checkpoint shard mismatch: checkpoint covers shard %d/%d (devices [%d, %d)), "
-          "this run requests shard %d/%d (devices [%d, %d))",
-          resume->shard_index, resume->shard_count, ckpt_range.lo, ckpt_range.hi,
-          config.shard_index, config.shard_count, shard_range.lo, shard_range.hi));
-    }
-    if (resume->profile_hash != profile_hash) {
-      return InvalidArgumentError(StrFormat(
-          "checkpoint profile mismatch: checkpoint profile hash %016llx [%s], this run's "
-          "profile hash %016llx [%s]",
-          static_cast<unsigned long long>(resume->profile_hash),
-          resume->profile_hash == 0 ? "homogeneous" : resume->profile_text.c_str(),
-          static_cast<unsigned long long>(profile_hash),
-          profile_hash == 0 ? "homogeneous" : profile_text.c_str()));
-    }
-    if (resume->config_hash != config_hash) {
-      return InvalidArgumentError(
-          StrFormat("checkpoint config mismatch: checkpoint was written by [%s], this "
-                    "run is [%s]",
-                    resume->config_text.c_str(), canonical.c_str()));
-    }
-    if (resume->template_snapshot.bytes != snapshot.bytes) {
-      return InvalidArgumentError(
-          "checkpoint template snapshot does not match the one this build and config "
-          "produce");
-    }
+  FleetCheckpoint identity;
+  identity.kind = FleetCheckpointKind::kFleet;
+  identity.template_snapshot = cohorts[0]->snapshot;
+  identity.device_count = config.device_count;
+  identity.shard_index = config.shard_index;
+  identity.shard_count = config.shard_count;
+  if (!config.profile.empty()) {
+    identity.profile_hash = ProfileHash(resolved_profile, cohort_fw_hashes);
+    identity.profile_text = ProfileCanonical(resolved_profile, cohort_fw_hashes);
   }
+  identity.config_text =
+      FleetConfigCanonical(config, cohorts[0]->firmware_hash, identity.profile_hash);
+  identity.config_hash = FleetConfigHash(config, cohorts[0]->firmware_hash, identity.profile_hash);
 
   FleetReport report;
   report.config = config;
@@ -285,7 +162,7 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
   if (!config.profile.empty()) {
     report.config.profile = resolved_profile;  // apps resolved per cohort
   }
-  report.snapshot_bytes = snapshot.bytes.size();
+  report.snapshot_bytes = identity.template_snapshot.bytes.size();
   report.boot_seconds = SecondsSince(boot_t0);
   const bool retain = config.retain_device_stats;
   if (retain) {
@@ -294,8 +171,27 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     report.devices.resize(static_cast<size_t>(config.device_count));
   }
 
-  std::vector<bool> completed(static_cast<size_t>(config.device_count), false);
-  if (resume == nullptr && config.shard_index == 0) {
+  fleet_internal::DeviceRunner runner(
+      config, "fleet", std::move(identity), &report.metrics, &report.faults,
+      [&](FleetCheckpoint* cp) {
+        if (!retain) {
+          return;
+        }
+        for (int i = 0; i < config.device_count; ++i) {
+          if (cp->completed[static_cast<size_t>(i)]) {
+            cp->devices.push_back(report.devices[static_cast<size_t>(i)]);
+          }
+        }
+      });
+  if (resume != nullptr) {
+    RETURN_IF_ERROR(runner.Resume(*resume));
+    report.resumed_devices = resume->CompletedCount();
+    if (retain) {
+      for (const DeviceStats& d : resume->devices) {
+        report.devices[static_cast<size_t>(d.device_id)] = d;
+      }
+    }
+  } else if (config.shard_index == 0) {
     // Build-time check counters: phase-2 instructions inserted vs phase-2.5
     // instructions deleted, summed over every cohort's firmware. Recorded
     // once per fleet — by shard 0 only, so the merged registry matches a
@@ -314,179 +210,34 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     report.metrics.Add("fleet.checks_total", checks_total);
     report.metrics.Add("fleet.checks_elided", checks_elided);
   }
-  if (resume != nullptr) {
-    completed = resume->completed;
-    report.metrics = resume->metrics;
-    report.faults = resume->faults;
-    report.resumed_devices = resume->CompletedCount();
-    if (retain) {
-      for (const DeviceStats& d : resume->devices) {
-        report.devices[static_cast<size_t>(d.device_id)] = d;
-      }
-    }
-  }
+  const ShardRange shard_range =
+      ShardRangeFor(config.device_count, config.shard_index, config.shard_count);
   std::vector<int> pending;
   for (int i = shard_range.lo; i < shard_range.hi; ++i) {
-    if (!completed[static_cast<size_t>(i)]) {
+    if (!runner.completed(i)) {
       pending.push_back(i);
     }
   }
 
-  std::vector<Status> device_status(static_cast<size_t>(config.device_count));
+  report.config.jobs = runner.thread_count();
   const auto run_t0 = std::chrono::steady_clock::now();
-
-  // Cross-device state: the merged registry, the completed bitmap, the
-  // checkpoint writer, and progress reporting — all guarded by merge_mu.
-  // Merge order varies with scheduling, but the registry's integer state
-  // makes the result order-independent.
-  const bool checkpointing = !config.checkpoint_path.empty();
-  std::mutex merge_mu;
-  Status checkpoint_status;              // guarded by merge_mu
-  int devices_since_checkpoint = 0;      // guarded by merge_mu
-  auto last_checkpoint = run_t0;         // guarded by merge_mu
-  int completed_this_run = 0;            // guarded by merge_mu
-  bool aborted = false;                  // guarded by merge_mu
-  std::atomic<bool> cancel_requested{false};
-  Executor* executor_ptr = nullptr;  // set before any task is submitted
-
-  // Fail-fast: stops the serial loop and tells the executor to drain its
-  // queue without running the remaining device bodies.
-  auto request_cancel = [&] {
-    cancel_requested.store(true, std::memory_order_relaxed);
-    if (executor_ptr != nullptr) {
-      executor_ptr->Cancel();
-    }
-  };
-
-  // Snapshot of the run's durable state; merge_mu must be held.
-  auto build_checkpoint = [&] {
-    FleetCheckpoint cp;
-    cp.kind = FleetCheckpointKind::kFleet;
-    cp.config_hash = config_hash;
-    cp.config_text = canonical;
-    cp.template_snapshot = snapshot;
-    cp.metrics = report.metrics;
-    cp.faults = report.faults;
-    cp.completed = completed;
-    cp.device_count = config.device_count;
-    cp.shard_index = config.shard_index;
-    cp.shard_count = config.shard_count;
-    cp.profile_hash = profile_hash;
-    cp.profile_text = profile_text;
-    if (retain) {
-      for (int i = 0; i < config.device_count; ++i) {
-        if (completed[static_cast<size_t>(i)]) {
-          cp.devices.push_back(report.devices[static_cast<size_t>(i)]);
-        }
-      }
-    }
-    return cp;
-  };
-
-  std::atomic<int> processed{0};
-  auto last_progress = run_t0;
-  const int progress_step = std::max<int>(1, static_cast<int>(pending.size()) / 20);
-  auto run_one = [&](size_t k) {
-    const int id = pending[k];
+  runner.Run(pending, [&](int id, MetricRegistry* metrics, FaultLedger* ledger) -> Status {
+    const int cohort_index =
+        config.profile.empty() ? 0 : CohortForDevice(resolved_profile, config.fleet_seed, id);
+    const CohortRuntime& cohort = *cohorts[static_cast<size_t>(cohort_index)];
     DeviceStats local;
     DeviceStats* slot = retain ? &report.devices[static_cast<size_t>(id)] : &local;
-    Status status;
-    FaultLedger device_ledger;
-    const int cohort_index =
-        config.profile.empty() ? 0
-                               : CohortForDevice(resolved_profile, config.fleet_seed, id);
-    const CohortRuntime& cohort = *cohorts[static_cast<size_t>(cohort_index)];
-    if (config.fail_device_id == id) {
-      status = InternalError(StrFormat("injected failure on device %d", id));
-    } else {
-      status = RunDevice(id, config, cohort, slot, &device_ledger);
+    RETURN_IF_ERROR(RunDevice(id, config, cohort, slot, ledger));
+    RecordDeviceMetrics(*slot, metrics);
+    if (!config.profile.empty()) {
+      // Per-device counter, so cohort sizes merge order-independently
+      // across jobs, resume, and shards.
+      metrics->Add("fleet.cohort." + cohort.cohort.name, 1);
     }
-    device_status[static_cast<size_t>(id)] = status;
-    MetricRegistry device_metrics;
-    if (status.ok()) {
-      RecordDeviceMetrics(*slot, &device_metrics);
-      if (!config.profile.empty()) {
-        // Per-device counter, so cohort sizes merge order-independently
-        // across jobs, resume, and shards.
-        device_metrics.Add("fleet.cohort." + cohort.cohort.name, 1);
-      }
-    }
-    const int done = processed.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::lock_guard<std::mutex> lock(merge_mu);
-    if (!status.ok()) {
-      request_cancel();
-      return;
-    }
-    report.metrics.Merge(device_metrics);
-    report.faults.Merge(device_ledger);
-    completed[static_cast<size_t>(id)] = true;
-    ++completed_this_run;
-    if (config.abort_after_devices > 0 && completed_this_run >= config.abort_after_devices &&
-        !aborted) {
-      aborted = true;
-      request_cancel();
-    }
-    if (checkpointing && checkpoint_status.ok() &&
-        (devices_since_checkpoint + 1 >= std::max(1, config.checkpoint_every_devices) ||
-         SecondsSince(last_checkpoint) >= config.checkpoint_every_seconds)) {
-      checkpoint_status = WriteFleetCheckpoint(config.checkpoint_path, build_checkpoint());
-      devices_since_checkpoint = 0;
-      last_checkpoint = std::chrono::steady_clock::now();
-      if (!checkpoint_status.ok()) {
-        request_cancel();
-      }
-    } else {
-      ++devices_since_checkpoint;
-    }
-    if (config.verbosity >= 1 &&
-        (done == static_cast<int>(pending.size()) || done % progress_step == 0 ||
-         SecondsSince(last_progress) >= 2.0)) {
-      last_progress = std::chrono::steady_clock::now();
-      const double elapsed = SecondsSince(run_t0);
-      const double rate = elapsed > 0 ? done / elapsed : 0.0;
-      const double eta = rate > 0 ? (static_cast<int>(pending.size()) - done) / rate : 0.0;
-      std::fprintf(stderr, "fleet: %d/%zu devices (%.1f devices/s, ETA %.1f s)\n", done,
-                   pending.size(), rate, eta);
-    }
-  };
-  if (config.jobs == 1) {
-    report.config.jobs = 1;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (cancel_requested.load(std::memory_order_relaxed)) {
-        break;
-      }
-      run_one(k);
-    }
-  } else {
-    Executor executor(config.jobs);
-    executor_ptr = &executor;
-    report.config.jobs = executor.thread_count();
-    executor.ParallelFor(pending.size(), run_one);
-    executor_ptr = nullptr;
-  }
+    return OkStatus();
+  });
   report.run_seconds = SecondsSince(run_t0);
-
-  // Final checkpoint on every exit path — success, device error, abort — so
-  // no completed device's work is ever lost.
-  if (checkpointing && checkpoint_status.ok()) {
-    checkpoint_status = WriteFleetCheckpoint(config.checkpoint_path, build_checkpoint());
-  }
-
-  for (int id : pending) {
-    if (!device_status[static_cast<size_t>(id)].ok()) {
-      const Status& s = device_status[static_cast<size_t>(id)];
-      return Status(s.code(), StrFormat("device %d: %s", id, s.message().c_str()));
-    }
-  }
-  if (!checkpoint_status.ok()) {
-    return checkpoint_status;
-  }
-  if (aborted) {
-    return CancelledError(
-        StrFormat("fleet run cancelled after %d completed device(s) this run "
-                  "(abort_after_devices=%d)",
-                  completed_this_run, config.abort_after_devices));
-  }
+  RETURN_IF_ERROR(runner.Finish());
   if (retain) {
     Aggregate(&report);
   } else {
@@ -540,34 +291,23 @@ std::string FleetDigest(const FleetReport& report) {
                                          report.config.shard_index,
                                          report.config.shard_count);
   for (int id = range.lo; !report.devices.empty() && id < range.hi; ++id) {
-    const DeviceStats& d = report.devices[static_cast<size_t>(id)];
-    out += StrFormat("d%d:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%a\n", d.device_id,
-                     static_cast<unsigned long long>(d.cycles),
-                     static_cast<unsigned long long>(d.data_accesses),
-                     static_cast<unsigned long long>(d.syscalls),
-                     static_cast<unsigned long long>(d.dispatches),
-                     static_cast<unsigned long long>(d.faults),
-                     static_cast<unsigned long long>(d.pucs),
-                     static_cast<unsigned long long>(d.watchdog_resets),
-                     static_cast<unsigned long long>(d.instructions),
-                     d.battery_impact_percent);
+    out += fleet_internal::DeviceDigestRow(report.devices[static_cast<size_t>(id)]) + "\n";
   }
   const FleetAggregate& a = report.aggregate;
-  for (const StatSummary* s :
-       {&a.cycles, &a.data_accesses, &a.syscalls, &a.dispatches, &a.faults, &a.pucs,
-        &a.watchdog_resets, &a.instructions, &a.battery_impact_percent}) {
-    out += StrFormat("agg:%a,%a,%a,%a,%a,%a,%d\n", s->min, s->p50, s->p95, s->p99, s->max,
-                     s->mean, s->count);
+  auto summary = [&out](const StatSummary& s) {
+    out += StrFormat("agg:%a,%a,%a,%a,%a,%a,%d\n", s.min, s.p50, s.p95, s.p99, s.max, s.mean,
+                     s.count);
+  };
+  for (const DeviceCounter& c : kDeviceCounters) {
+    summary(a.*c.summary);
   }
-  out += StrFormat("tot:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                   static_cast<unsigned long long>(a.total_cycles),
-                   static_cast<unsigned long long>(a.total_data_accesses),
-                   static_cast<unsigned long long>(a.total_syscalls),
-                   static_cast<unsigned long long>(a.total_dispatches),
-                   static_cast<unsigned long long>(a.total_faults),
-                   static_cast<unsigned long long>(a.total_pucs),
-                   static_cast<unsigned long long>(a.total_watchdog_resets),
-                   static_cast<unsigned long long>(a.total_instructions));
+  summary(a.battery_impact_percent);
+  const char* sep = "tot:";
+  for (const DeviceCounter& c : kDeviceCounters) {
+    out += StrFormat("%s%llu", sep, static_cast<unsigned long long>(a.*c.total));
+    sep = ",";
+  }
+  out += "\n";
   out += "metrics:";
   out += report.metrics.ToJson();
   out += "\n";
@@ -622,8 +362,6 @@ std::string RenderFleetReport(const FleetReport& report) {
     }
   }
   if (report.resumed_devices > 0) {
-    const int local_devices =
-        ShardRangeFor(config.device_count, config.shard_index, config.shard_count).size();
     out += StrFormat("resumed: %d device(s) restored from checkpoint, %d simulated\n",
                      report.resumed_devices, local_devices - report.resumed_devices);
   }
@@ -646,29 +384,19 @@ std::string RenderFleetReport(const FleetReport& report) {
   out += StrFormat("  %-16s %14s %14s %14s %14s %14s\n", "per-device", "p50", "p95", "p99",
                    "max", "mean");
   const FleetAggregate& a = report.aggregate;
-  out += SummaryRow("cycles", a.cycles);
-  out += SummaryRow("data accesses", a.data_accesses);
-  out += SummaryRow("syscalls", a.syscalls);
-  out += SummaryRow("dispatches", a.dispatches);
-  out += SummaryRow("faults", a.faults);
-  out += SummaryRow("PUCs", a.pucs);
-  out += SummaryRow("WDT resets", a.watchdog_resets);
-  out += SummaryRow("instructions", a.instructions);
+  for (const DeviceCounter& c : kDeviceCounters) {
+    out += SummaryRow(c.label, a.*c.summary);
+  }
   out += StrFormat("  %-16s %14.4f %14.4f %14.4f %14.4f %14.4f   (%% battery/week)\n",
                    "battery impact", a.battery_impact_percent.p50,
                    a.battery_impact_percent.p95, a.battery_impact_percent.p99,
                    a.battery_impact_percent.max, a.battery_impact_percent.mean);
-  out += StrFormat(
-      "totals: %llu cycles, %llu instructions, %llu data accesses, %llu syscalls, %llu "
-      "dispatches, %llu faults, %llu PUCs, %llu WDT resets\n",
-      static_cast<unsigned long long>(a.total_cycles),
-      static_cast<unsigned long long>(a.total_instructions),
-      static_cast<unsigned long long>(a.total_data_accesses),
-      static_cast<unsigned long long>(a.total_syscalls),
-      static_cast<unsigned long long>(a.total_dispatches),
-      static_cast<unsigned long long>(a.total_faults),
-      static_cast<unsigned long long>(a.total_pucs),
-      static_cast<unsigned long long>(a.total_watchdog_resets));
+  const char* sep = "totals: ";
+  for (const DeviceCounter& c : kDeviceCounters) {
+    out += StrFormat("%s%llu %s", sep, static_cast<unsigned long long>(a.*c.total), c.label);
+    sep = ", ";
+  }
+  out += "\n";
   if (!report.faults.empty()) {
     out += report.faults.RenderTriage(5);
   }

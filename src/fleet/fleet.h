@@ -1,7 +1,7 @@
 // Fleet simulation engine: boots one template device per configuration,
 // snapshots its machine after firmware boot, then clones and runs N
-// independent simulated devices in parallel on the work-stealing executor,
-// merging their ARP-style counters into fleet-wide percentiles.
+// independent simulated devices in parallel on the executor, merging their
+// ARP-style counters into fleet-wide percentiles.
 //
 // Determinism: device i's sensor stream, cohort, and activity mode derive
 // from a splitmix64 mix of (fleet_seed, global device id), every device owns

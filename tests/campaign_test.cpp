@@ -11,6 +11,7 @@
 
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
+#include "src/common/strings.h"
 #include "src/fleet/campaign.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/fleet.h"
@@ -286,6 +287,105 @@ TEST(CampaignTest, RenderMentionsStagesAndOutcomes) {
   EXPECT_NE(text.find("12 updated"), std::string::npos) << text;
   EXPECT_NE(text.find("version skew"), std::string::npos) << text;
   EXPECT_NE(text.find("MAC verification"), std::string::npos) << text;
+}
+
+// A failing stage-1 device cancels the campaign through the same device
+// runner as a plain fleet run, serially and threaded: the error names the
+// device, the final checkpoint holds exactly the devices that completed
+// (never the failing one, never a later stage), and resuming without the
+// hook reproduces the uninterrupted digest.
+TEST(CampaignTest, FailedDeviceCancelsCampaign) {
+  auto baseline = RunCampaign(SmallCampaign(1));
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::string want = CampaignDigest(*baseline);
+  // 12 devices under 5/50/100 staging: stage 0 is order[0], stage 1 is
+  // order[1..5], stage 2 is order[6..11].
+  const std::vector<int> order = CampaignRolloutOrder(12, SmallCampaign(1).rollout_seed);
+  const int failing = order[3];
+
+  for (int jobs : {1, 4}) {
+    const std::string path = "campaign_ckpt_failfast_" + std::to_string(jobs) + ".bin";
+    std::remove(path.c_str());
+    CampaignConfig config = SmallCampaign(jobs);
+    config.fleet.checkpoint_path = path;
+    config.fleet.checkpoint_every_devices = 1;
+    config.fleet.fail_device_id = failing;
+    auto report = RunCampaign(config);
+    ASSERT_FALSE(report.ok()) << "jobs=" << jobs;
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal) << report.status().ToString();
+    EXPECT_NE(report.status().message().find(StrFormat("device %d:", failing)),
+              std::string::npos)
+        << report.status().ToString();
+
+    auto cp = ReadFleetCheckpoint(path);
+    ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+    const int completed = cp->CompletedCount();
+    if (jobs == 1) {
+      EXPECT_EQ(completed, 3) << "the canary plus the two stage-1 devices before the failure";
+    }
+    EXPECT_TRUE(cp->completed[static_cast<size_t>(order[0])]);
+    EXPECT_FALSE(cp->completed[static_cast<size_t>(failing)]);
+    for (size_t k = 6; k < order.size(); ++k) {
+      EXPECT_FALSE(cp->completed[static_cast<size_t>(order[k])]) << "stage-2 device " << order[k];
+    }
+    // One row per completed device, each equal to that device's row in the
+    // uninterrupted run.
+    ASSERT_EQ(cp->devices.size(), static_cast<size_t>(completed));
+    ASSERT_EQ(cp->campaign_devices.size(), static_cast<size_t>(completed));
+    for (size_t i = 0; i < cp->devices.size(); ++i) {
+      const CampaignDeviceRow& row =
+          baseline->devices[static_cast<size_t>(cp->devices[i].device_id)];
+      EXPECT_EQ(cp->devices[i].cycles, row.stats.cycles);
+      EXPECT_EQ(cp->devices[i].instructions, row.stats.instructions);
+      EXPECT_EQ(cp->campaign_devices[i].outcome, static_cast<uint8_t>(row.outcome));
+      EXPECT_EQ(cp->campaign_devices[i].verify_cycles, row.verify_cycles);
+    }
+
+    CampaignConfig retry = SmallCampaign(jobs);
+    retry.fleet.checkpoint_path = path;
+    auto resumed = ResumeCampaign(retry);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed->resumed_devices, completed);
+    EXPECT_EQ(CampaignDigest(*resumed), want) << "jobs=" << jobs;
+    std::remove(path.c_str());
+  }
+}
+
+// A campaign deploys the firmware its fleet config asks for. With check_opt
+// off (`amuletc fleet --campaign --no-check-opt`) both images keep every
+// phase-2 bound check, so kSoftwareOnly devices burn different cycles, and
+// the firmware hashes in the config identity keep a checkpoint written under
+// one setting from resuming under the other.
+TEST(CampaignTest, HonorsCheckOpt) {
+  auto campaign = [](bool check_opt) {
+    CampaignConfig config = SmallCampaign(2);
+    config.fleet.device_count = 4;
+    config.fleet.apps.clear();  // the nine-app suite
+    config.fleet.model = MemoryModel::kSoftwareOnly;
+    config.fleet.check_opt = check_opt;
+    config.fleet.checkpoint_path =
+        check_opt ? "campaign_ckpt_opt.bin" : "campaign_ckpt_unopt.bin";
+    return config;
+  };
+  std::string digests[2];
+  for (bool check_opt : {false, true}) {
+    auto report = RunCampaign(campaign(check_opt));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    digests[check_opt ? 1 : 0] = CampaignDigest(*report);
+  }
+  EXPECT_NE(digests[0], digests[1]);
+
+  for (bool check_opt : {false, true}) {
+    CampaignConfig other = campaign(!check_opt);
+    other.fleet.checkpoint_path = campaign(check_opt).fleet.checkpoint_path;
+    auto resumed = ResumeCampaign(other);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resumed.status().message().find("config mismatch"), std::string::npos)
+        << resumed.status().ToString();
+  }
+  for (bool check_opt : {false, true}) {
+    std::remove(campaign(check_opt).fleet.checkpoint_path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

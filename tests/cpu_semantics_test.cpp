@@ -5,6 +5,8 @@
 // logical ops) are easy to get subtly wrong.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/asm/assembler.h"
 #include "src/common/strings.h"
 #include "src/isa/disassembler.h"
@@ -14,16 +16,32 @@
 namespace amulet {
 namespace {
 
+// gtest names each case of a value-parameterized test after the raw bytes of
+// its parameter. Padding inside the case structs would put uninitialized
+// bytes into those names, so a case's name changed from one run to the next.
+// The `tag` fields fill what would be padding and pin those bytes, one value
+// per case, to the name the case has always been listed under; the
+// static_asserts keep the structs free of padding. Tags take no part in the
+// checks.
+
 struct AluCase {
   Opcode op;
   bool byte;
   uint16_t src;
   uint16_t dst_in;
   bool carry_in;
+  uint8_t tag_a;
   uint16_t expect;
+  uint16_t tag_b;
   // Expected flags: -1 = don't care, 0/1 = required value.
   int c, z, n, v;
 };
+static_assert(std::has_unique_object_representations_v<AluCase>);
+
+AluCase Alu(Opcode op, bool byte, uint16_t src, uint16_t dst_in, bool carry_in, uint16_t expect,
+            int c, int z, int n, int v, uint8_t tag_a = 0, uint16_t tag_b = 0) {
+  return {op, byte, src, dst_in, carry_in, tag_a, expect, tag_b, c, z, n, v};
+}
 
 std::string CaseName(const AluCase& c) {
   return StrFormat("%s%s src=%04x dst=%04x cin=%d", std::string(OpcodeName(c.op)).c_str(),
@@ -67,52 +85,53 @@ TEST_P(AluSemantics, MatchesArchitecture) {
 INSTANTIATE_TEST_SUITE_P(
     Add, AluSemantics,
     ::testing::Values(
-        //       op           byte  src     dst    cin  expect  c  z  n  v
-        AluCase{Opcode::kAdd, false, 0x0001, 0x0001, 0, 0x0002, 0, 0, 0, 0},
-        AluCase{Opcode::kAdd, false, 0xFFFF, 0x0001, 0, 0x0000, 1, 1, 0, 0},
-        AluCase{Opcode::kAdd, false, 0x7FFF, 0x0001, 0, 0x8000, 0, 0, 1, 1},
-        AluCase{Opcode::kAdd, false, 0x8000, 0x8000, 0, 0x0000, 1, 1, 0, 1},
-        AluCase{Opcode::kAdd, false, 0x1234, 0x0000, 1, 0x1234, 0, 0, 0, 0},  // C_in ignored
-        AluCase{Opcode::kAdd, true, 0x00FF, 0x0001, 0, 0x0000, 1, 1, 0, 0},
-        AluCase{Opcode::kAdd, true, 0x007F, 0x0001, 0, 0x0080, 0, 0, 1, 1},
-        AluCase{Opcode::kAddc, false, 0x0001, 0x0001, 1, 0x0003, 0, 0, 0, 0},
-        AluCase{Opcode::kAddc, false, 0xFFFF, 0x0000, 1, 0x0000, 1, 1, 0, 0},
-        AluCase{Opcode::kAddc, true, 0x00FE, 0x0001, 1, 0x0000, 1, 1, 0, 0}));
+        //   op           byte  src     dst    cin  expect  c  z  n  v  tag_a tag_b
+        Alu(Opcode::kAdd, false, 0x0001, 0x0001, 0, 0x0002, 0, 0, 0, 0, 0x00, 0x8BEB),
+        Alu(Opcode::kAdd, false, 0xFFFF, 0x0001, 0, 0x0000, 1, 1, 0, 0, 0x94),
+        Alu(Opcode::kAdd, false, 0x7FFF, 0x0001, 0, 0x8000, 0, 0, 1, 1),
+        Alu(Opcode::kAdd, false, 0x8000, 0x8000, 0, 0x0000, 1, 1, 0, 1, 0x60),
+        Alu(Opcode::kAdd, false, 0x1234, 0x0000, 1, 0x1234, 0, 0, 0, 0),  // C_in ignored
+        Alu(Opcode::kAdd, true, 0x00FF, 0x0001, 0, 0x0000, 1, 1, 0, 0, 0x94),
+        Alu(Opcode::kAdd, true, 0x007F, 0x0001, 0, 0x0080, 0, 0, 1, 1, 0x00, 0x606D),
+        Alu(Opcode::kAddc, false, 0x0001, 0x0001, 1, 0x0003, 0, 0, 0, 0, 0x40, 0xAF7D),
+        Alu(Opcode::kAddc, false, 0xFFFF, 0x0000, 1, 0x0000, 1, 1, 0, 0, 0x00, 0x4058),
+        Alu(Opcode::kAddc, true, 0x00FE, 0x0001, 1, 0x0000, 1, 1, 0, 0)));
 
 INSTANTIATE_TEST_SUITE_P(
     Sub, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::kSub, false, 0x0003, 0x0005, 0, 0x0002, 1, 0, 0, 0},
-        AluCase{Opcode::kSub, false, 0x0005, 0x0003, 0, 0xFFFE, 0, 0, 1, 0},  // borrow: C=0
-        AluCase{Opcode::kSub, false, 0x0005, 0x0005, 0, 0x0000, 1, 1, 0, 0},
-        AluCase{Opcode::kSub, false, 0x0001, 0x8000, 0, 0x7FFF, 1, 0, 0, 1},  // ovf
-        AluCase{Opcode::kSub, true, 0x0001, 0x0000, 0, 0x00FF, 0, 0, 1, 0},
-        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 1, 0x0002, 1, 0, 0, 0},
-        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 0, 0x0001, 1, 0, 0, 0},
-        AluCase{Opcode::kCmp, false, 0x0003, 0x0005, 0, 0x0000, 1, 0, 0, 0},
-        AluCase{Opcode::kCmp, false, 0x0005, 0x0003, 0, 0x0000, 0, 0, 1, 0},
-        AluCase{Opcode::kCmp, false, 0x8000, 0x7FFF, 0, 0x0000, 0, 0, 1, 1}));
+        Alu(Opcode::kSub, false, 0x0003, 0x0005, 0, 0x0002, 1, 0, 0, 0, 0x00, 0x606D),
+        Alu(Opcode::kSub, false, 0x0005, 0x0003, 0, 0xFFFE, 0, 0, 1, 0),  // borrow: C=0
+        Alu(Opcode::kSub, false, 0x0005, 0x0005, 0, 0x0000, 1, 1, 0, 0),
+        Alu(Opcode::kSub, false, 0x0001, 0x8000, 0, 0x7FFF, 1, 0, 0, 1),  // ovf
+        Alu(Opcode::kSub, true, 0x0001, 0x0000, 0, 0x00FF, 0, 0, 1, 0),
+        Alu(Opcode::kSubc, false, 0x0003, 0x0005, 1, 0x0002, 1, 0, 0, 0, 0x60),
+        Alu(Opcode::kSubc, false, 0x0003, 0x0005, 0, 0x0001, 1, 0, 0, 0, 0xAF, 0x9410),
+        Alu(Opcode::kCmp, false, 0x0003, 0x0005, 0, 0x0000, 1, 0, 0, 0, 0x40, 0xAF7D),
+        Alu(Opcode::kCmp, false, 0x0005, 0x0003, 0, 0x0000, 0, 0, 1, 0, 0x00, 0x9410),
+        Alu(Opcode::kCmp, false, 0x8000, 0x7FFF, 0, 0x0000, 0, 0, 1, 1, 0x60)));
 
 INSTANTIATE_TEST_SUITE_P(
     Logic, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::kAnd, false, 0xF0F0, 0xFF00, 0, 0xF000, 1, 0, 1, 0},
-        AluCase{Opcode::kAnd, false, 0x0F0F, 0xF0F0, 0, 0x0000, 0, 1, 0, 0},  // C = !Z
-        AluCase{Opcode::kBit, false, 0x0001, 0x0003, 0, 0x0000, 1, 0, 0, 0},
-        AluCase{Opcode::kBit, false, 0x0004, 0x0003, 0, 0x0000, 0, 1, 0, 0},
-        AluCase{Opcode::kXor, false, 0xFFFF, 0xFFFF, 0, 0x0000, 0, 1, 0, 1},  // both neg: V
-        AluCase{Opcode::kXor, false, 0xAAAA, 0x5555, 0, 0xFFFF, 1, 0, 1, 0},
-        AluCase{Opcode::kBis, false, 0x00F0, 0x000F, 1, 0x00FF, -1, -1, -1, -1},  // no flags
-        AluCase{Opcode::kBic, false, 0x00F0, 0x00FF, 0, 0x000F, -1, -1, -1, -1},
-        AluCase{Opcode::kAnd, true, 0x00FF, 0x1280, 0, 0x0080, 1, 0, 1, 0}));
+        Alu(Opcode::kAnd, false, 0xF0F0, 0xFF00, 0, 0xF000, 1, 0, 1, 0),
+        Alu(Opcode::kAnd, false, 0x0F0F, 0xF0F0, 0, 0x0000, 0, 1, 0, 0, 0x94),  // C = !Z
+        Alu(Opcode::kBit, false, 0x0001, 0x0003, 0, 0x0000, 1, 0, 0, 0, 0x00, 0x9410),
+        Alu(Opcode::kBit, false, 0x0004, 0x0003, 0, 0x0000, 0, 1, 0, 0, 0xFF, 0xFFFF),
+        // Both operands negative: V.
+        Alu(Opcode::kXor, false, 0xFFFF, 0xFFFF, 0, 0x0000, 0, 1, 0, 1, 0x00, 0x940F),
+        Alu(Opcode::kXor, false, 0xAAAA, 0x5555, 0, 0xFFFF, 1, 0, 1, 0, 0x94),
+        Alu(Opcode::kBis, false, 0x00F0, 0x000F, 1, 0x00FF, -1, -1, -1, -1, 0xAF),  // no flags
+        Alu(Opcode::kBic, false, 0x00F0, 0x00FF, 0, 0x000F, -1, -1, -1, -1, 0x94),
+        Alu(Opcode::kAnd, true, 0x00FF, 0x1280, 0, 0x0080, 1, 0, 1, 0, 0x00, 0x8BA1)));
 
 INSTANTIATE_TEST_SUITE_P(
     Bcd, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::kDadd, false, 0x0042, 0x0013, 0, 0x0055, 0, 0, 0, -1},
-        AluCase{Opcode::kDadd, false, 0x0008, 0x0009, 0, 0x0017, 0, 0, 0, -1},
-        AluCase{Opcode::kDadd, false, 0x9999, 0x0001, 0, 0x0000, 1, 1, 0, -1},
-        AluCase{Opcode::kDadd, false, 0x0001, 0x0009, 1, 0x0011, 0, 0, 0, -1}));
+        Alu(Opcode::kDadd, false, 0x0042, 0x0013, 0, 0x0055, 0, 0, 0, -1, 0x00, 0x4058),
+        Alu(Opcode::kDadd, false, 0x0008, 0x0009, 0, 0x0017, 0, 0, 0, -1),
+        Alu(Opcode::kDadd, false, 0x9999, 0x0001, 0, 0x0000, 1, 1, 0, -1),
+        Alu(Opcode::kDadd, false, 0x0001, 0x0009, 1, 0x0011, 0, 0, 0, -1, 0x8B)));
 
 // BIS/BIC/MOV must preserve flags exactly.
 TEST(FlagPreservationTest, MovBisBicDontTouchSr) {
@@ -145,9 +164,16 @@ struct UnaryCase {
   bool byte;
   uint16_t in;
   bool carry_in;
+  uint8_t tag;
   uint16_t expect;
   int c, z, n;
 };
+static_assert(std::has_unique_object_representations_v<UnaryCase>);
+
+UnaryCase Unary(Opcode op, bool byte, uint16_t in, bool carry_in, uint16_t expect, int c, int z,
+                int n, uint8_t tag = 0) {
+  return {op, byte, in, carry_in, tag, expect, c, z, n};
+}
 
 class UnarySemantics : public ::testing::TestWithParam<UnaryCase> {};
 
@@ -177,17 +203,17 @@ TEST_P(UnarySemantics, MatchesArchitecture) {
 INSTANTIATE_TEST_SUITE_P(
     Shifts, UnarySemantics,
     ::testing::Values(
-        //        op            byte   in     cin  expect  c  z  n
-        UnaryCase{Opcode::kRra, false, 0x0005, 0, 0x0002, 1, 0, 0},
-        UnaryCase{Opcode::kRra, false, 0x8000, 0, 0xC000, 0, 0, 1},  // keeps sign
-        UnaryCase{Opcode::kRra, false, 0x0001, 0, 0x0000, 1, 1, 0},
-        UnaryCase{Opcode::kRrc, false, 0x0000, 1, 0x8000, 0, 0, 1},  // C rotates in
-        UnaryCase{Opcode::kRrc, false, 0x0001, 0, 0x0000, 1, 1, 0},
-        UnaryCase{Opcode::kRrc, true, 0x0001, 1, 0x0080, 1, 0, 1},
-        UnaryCase{Opcode::kSwpb, false, 0xABCD, 0, 0xCDAB, -1, -1, -1},
-        UnaryCase{Opcode::kSxt, false, 0x0080, 0, 0xFF80, 1, 0, 1},
-        UnaryCase{Opcode::kSxt, false, 0x007F, 0, 0x007F, 1, 0, 0},
-        UnaryCase{Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0}));
+        //     op            byte   in     cin  expect  c  z  n  tag
+        Unary(Opcode::kRra, false, 0x0005, 0, 0x0002, 1, 0, 0),
+        Unary(Opcode::kRra, false, 0x8000, 0, 0xC000, 0, 0, 1),  // keeps sign
+        Unary(Opcode::kRra, false, 0x0001, 0, 0x0000, 1, 1, 0),
+        Unary(Opcode::kRrc, false, 0x0000, 1, 0x8000, 0, 0, 1),  // C rotates in
+        Unary(Opcode::kRrc, false, 0x0001, 0, 0x0000, 1, 1, 0),
+        Unary(Opcode::kRrc, true, 0x0001, 1, 0x0080, 1, 0, 1),
+        Unary(Opcode::kSwpb, false, 0xABCD, 0, 0xCDAB, -1, -1, -1, 0x18),
+        Unary(Opcode::kSxt, false, 0x0080, 0, 0xFF80, 1, 0, 1),
+        Unary(Opcode::kSxt, false, 0x007F, 0, 0x007F, 1, 0, 0),
+        Unary(Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0, 0xDC)));
 
 // ---------------------------------------------------------------------------
 // Byte operations on memory: only the addressed byte changes.

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/aft/aft.h"
@@ -138,21 +139,18 @@ TEST(SnapshotTest, BootFromSnapshotRequiresBootedTemplate) {
   EXPECT_FALSE(clone.BootFromSnapshot(snapshot, not_booted).ok());
 }
 
+// One executor serving repeated ParallelFor calls, the way a campaign runs
+// its stages.
 TEST(ExecutorTest, RunsEverySubmittedTask) {
   Executor executor(4);
   EXPECT_EQ(executor.thread_count(), 4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    executor.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+  for (int round = 1; round <= 10; ++round) {
+    executor.ParallelFor(250, [&counter](size_t) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(counter.load(), 250 * round);
   }
-  executor.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-
-  // Reusable after Wait().
-  executor.ParallelFor(250, [&counter](size_t) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(counter.load(), 1250);
 }
 
 TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
@@ -164,16 +162,32 @@ TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-TEST(ExecutorTest, TasksCanSubmitTasks) {
-  Executor executor(2);
-  std::atomic<int> counter{0};
-  executor.Submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      executor.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
+TEST(ExecutorTest, EmptyRangeRunsNothing) {
+  Executor executor(4);
+  std::atomic<int> calls{0};
+  executor.ParallelFor(0, [&calls](size_t) { calls.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ExecutorTest, FewerIndicesThanThreads) {
+  Executor executor(8);
+  std::vector<int> hits(3, 0);
+  executor.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
+  EXPECT_EQ(hits, std::vector<int>({1, 1, 1}));
+}
+
+// jobs == 1 is the same loop run inline: every body on the calling thread,
+// in index order.
+TEST(ExecutorTest, OneThreadRunsInlineInOrder) {
+  Executor executor(1);
+  EXPECT_EQ(executor.thread_count(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  executor.ParallelFor(5, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
-  executor.Wait();
-  EXPECT_EQ(counter.load(), 10);
+  EXPECT_EQ(order, std::vector<size_t>({0, 1, 2, 3, 4}));
 }
 
 FleetConfig SmallFleet(int jobs) {
