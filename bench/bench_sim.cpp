@@ -15,6 +15,11 @@
 // is the whole per-instruction cost). Memory-traffic workloads share their
 // data-access bus cost with the baseline, so their speedup is Amdahl-bounded
 // and reported as-is; min/geomean over all rows are emitted alongside.
+// The headline ratio now sits below its target: the interpreter fetches
+// every word through the same bus, and when bus accesses became a slot-table
+// load with an inline MPU check the interpreter sped up as well, so the
+// ratio fell even though the fast core's own instructions/second rose. The
+// target stays as the goal for the dispatch loop; it is not a gate.
 // Exit status 1 if any snapshot diverges (bit-identity is the contract;
 // speed is the goal — see docs/simulator.md).
 #include <algorithm>

@@ -69,16 +69,8 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
   os_options.fault_policy = FaultPolicy::kLogOnly;
   AmuletOs os(&machine, std::move(fw), os_options);
 
-  // Count app-region data traffic per dispatch via the bus observer.
-  uint64_t data_accesses = 0;
-  machine.bus().SetObserver([&](const BusObserverEvent& event) {
-    if (event.kind == AccessKind::kFetch) {
-      return;
-    }
-    if (event.addr >= data_lo && event.addr < data_hi) {
-      ++data_accesses;
-    }
-  });
+  // Count app-region data traffic per dispatch with the bus counter.
+  machine.bus().SetCountedRegions({{data_lo, data_hi}});
 
   RETURN_IF_ERROR(os.Boot());
   os.sensors().set_mode(ActivityMode::kWalking);
@@ -96,9 +88,10 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
     for (int sample = 0; sample < options.samples_per_event; ++sample) {
       t_ms += 37;  // vary synthetic inputs
       EventArgs args = ArgsFor(type, &os.sensors(), t_ms);
-      data_accesses = 0;
+      const uint64_t accesses_before = machine.bus().counted_accesses();
       ASSIGN_OR_RETURN(AmuletOs::DispatchResult r,
                        os.Deliver(0, type, args.a0, args.a1, args.a2));
+      const uint64_t data_accesses = machine.bus().counted_accesses() - accesses_before;
       if (r.faulted) {
         return InternalError(StrFormat("app '%s' faulted while profiling %s",
                                        app.name.c_str(), EventHandlerName(type)));

@@ -1,7 +1,11 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 namespace amulet {
 
@@ -94,5 +98,41 @@ std::string WithThousands(uint64_t value) {
   }
   return std::string(out.rbegin(), out.rend());
 }
+
+template <typename T>
+bool ParseInteger(std::string_view text, T* out, int base) {
+  // strtoll/strtoull skip leading space and take either sign (strtoull
+  // turns "-1" into its maximum): refuse those before they get the chance.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) || text[0] == '+' ||
+      (text[0] == '-' && !std::is_signed_v<T>)) {
+    return false;
+  }
+  const std::string terminated(text);
+  const char* begin = terminated.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_signed_v<T>) {
+    const long long value = std::strtoll(begin, &end, base);
+    if (errno != 0 || end != begin + terminated.size() ||
+        value < std::numeric_limits<T>::min() || value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  } else {
+    const unsigned long long value = std::strtoull(begin, &end, base);
+    if (errno != 0 || end != begin + terminated.size() ||
+        value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
+
+template bool ParseInteger<int>(std::string_view, int*, int);
+template bool ParseInteger<int64_t>(std::string_view, int64_t*, int);
+template bool ParseInteger<uint16_t>(std::string_view, uint16_t*, int);
+template bool ParseInteger<uint32_t>(std::string_view, uint32_t*, int);
+template bool ParseInteger<uint64_t>(std::string_view, uint64_t*, int);
 
 }  // namespace amulet

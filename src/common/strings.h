@@ -37,6 +37,14 @@ std::string ToLower(std::string_view text);
 // Comma separators for large counts: 1234567 -> "1,234,567".
 std::string WithThousands(uint64_t value);
 
+// Parses all of `text` as an integer of type T. Fails, leaving *out
+// untouched, on an empty string, a leading space or '+', a '-' for an
+// unsigned T, trailing characters, or a value outside T's range. Base 10 by
+// default; base 0 also takes 0x-prefixed hex and 0-prefixed octal, as strtol
+// does. Defined for int, int64_t, uint16_t, uint32_t and uint64_t.
+template <typename T>
+bool ParseInteger(std::string_view text, T* out, int base = 10);
+
 }  // namespace amulet
 
 #endif  // SRC_COMMON_STRINGS_H_

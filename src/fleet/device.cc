@@ -124,15 +124,11 @@ Result<std::unique_ptr<ClonedDevice>> ClonedDevice::Clone(uint32_t device_seed,
 Status ClonedDevice::Run(uint64_t sim_ms, const DataRegions& regions, DeviceStats* out,
                          FaultLedger* ledger) {
   const size_t faults_watermark = os_.faults().size();
-  uint64_t data_accesses = 0;
-  machine_.bus().SetObserver([&](const BusObserverEvent& event) {
-    if (event.kind != AccessKind::kFetch && regions.Contains(event.addr)) {
-      ++data_accesses;
-    }
-  });
+  machine_.bus().SetCountedRegions(regions.spans);
 
   // Deltas relative to the call point, so neither the template's boot cost
   // nor a previous phase of the same device leaks into this span's numbers.
+  const uint64_t data_accesses_before = machine_.bus().counted_accesses();
   const uint64_t cycles_before = machine_.cpu().cycle_count();
   const uint64_t instructions_before = machine_.cpu().instruction_count();
   const uint64_t syscalls_before = machine_.hostio().syscall_count();
@@ -146,13 +142,11 @@ Status ClonedDevice::Run(uint64_t sim_ms, const DataRegions& regions, DeviceStat
     faults_before += os_.stats(i).faults;
     restarts_before += os_.stats(i).restarts;
   }
-  const Status run_status = os_.RunFor(sim_ms);
-  machine_.bus().SetObserver(nullptr);
-  RETURN_IF_ERROR(run_status);
+  RETURN_IF_ERROR(os_.RunFor(sim_ms));
 
   out->cycles += machine_.cpu().cycle_count() - cycles_before;
   out->instructions += machine_.cpu().instruction_count() - instructions_before;
-  out->data_accesses += data_accesses;
+  out->data_accesses += machine_.bus().counted_accesses() - data_accesses_before;
   out->syscalls += machine_.hostio().syscall_count() - syscalls_before;
   out->pucs += machine_.puc_count() - pucs_before;
   uint64_t dispatches_after = 0;

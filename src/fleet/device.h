@@ -61,21 +61,13 @@ Result<const AppSpec*> FindSuiteApp(const std::string& name);
 // source. On success `names` holds the resolved list.
 Result<std::vector<AppSource>> ResolveApps(std::vector<std::string>* names);
 
-// App data regions, precomputed once per firmware; the per-device bus
-// observer checks membership on every data access.
+// App data regions, precomputed once per firmware; ClonedDevice::Run()
+// installs them as the bus's counted regions, whose counter becomes the
+// device's data_accesses.
 struct DataRegions {
   std::vector<std::pair<uint16_t, uint16_t>> spans;  // [lo, hi)
 
   static DataRegions For(const Firmware& firmware);
-
-  bool Contains(uint16_t addr) const {
-    for (const auto& [lo, hi] : spans) {
-      if (addr >= lo && addr < hi) {
-        return true;
-      }
-    }
-    return false;
-  }
 };
 
 // One cloned simulated device: a fresh Machine restored from the template

@@ -3,6 +3,7 @@
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/mcu/code_cache.h"
+#include "src/mcu/mpu.h"
 #include "src/mcu/snapshot.h"
 #include "src/scope/flight_recorder.h"
 #include "src/scope/probe.h"
@@ -19,17 +20,24 @@ Bus::Bus() = default;
 
 void Bus::AttachDevice(BusDevice* device) {
   AMULET_CHECK(device != nullptr);
-  devices_.push_back(device);
+  const uint16_t base = device->base();
+  const uint32_t end = static_cast<uint32_t>(base) + device->size_bytes();
+  AMULET_CHECK(end <= kPeriphEnd);
+  AMULET_CHECK(devices_.size() < 0xFF);
+  devices_.push_back({device, base});
+  for (uint32_t a = base; a < end; ++a) {
+    AMULET_CHECK(device_slot_[a] == 0);
+    device_slot_[a] = static_cast<uint8_t>(devices_.size());
+  }
 }
 
-BusDevice* Bus::DeviceFor(uint16_t addr) {
-  for (BusDevice* device : devices_) {
-    if (addr >= device->base() &&
-        addr < static_cast<uint32_t>(device->base()) + device->size_bytes()) {
-      return device;
+void Bus::SetCountedRegions(const std::vector<std::pair<uint16_t, uint16_t>>& spans) {
+  counted_.fill(0);
+  for (const auto& [lo, hi] : spans) {
+    for (uint32_t a = lo; a < hi; ++a) {
+      counted_[a >> 6] |= uint64_t{1} << (a & 63);
     }
   }
-  return nullptr;
 }
 
 uint8_t* Bus::BackingFor(uint16_t addr, AccessKind kind, bool* writable) {
@@ -52,50 +60,29 @@ uint8_t* Bus::BackingFor(uint16_t addr, AccessKind kind, bool* writable) {
   return nullptr;  // hole (0x1A00-0x1BFF, 0x2400-0x43FF)
 }
 
-bool Bus::IsPlainMemory(uint16_t addr) const {
-  for (const BusDevice* device : devices_) {
-    if (addr >= device->base() &&
-        addr < static_cast<uint32_t>(device->base()) + device->size_bytes()) {
-      return false;
-    }
-  }
-  const uint32_t a = addr;
-  return InRange(a, kBslStart, kBslEnd) || IsInfoMem(a) || IsSram(a) || a >= kFramStart;
-}
-
 void Bus::InvalidateCode(uint16_t addr) {
   if (code_cache_ != nullptr) {
     code_cache_->InvalidateWord(addr);
   }
 }
 
-void Bus::Observe(uint16_t addr, AccessKind kind, bool byte, uint16_t value) {
-  if (observer_) {
-    observer_({addr, kind, byte, value});
-  }
-}
-
-void Bus::AddFramPenalty(uint16_t addr) {
-  if (fram_wait_states_ > 0 && IsAnyFram(addr)) {
-    penalty_cycles_ += static_cast<uint64_t>(fram_wait_states_);
-  }
-}
-
 uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
   addr &= ~uint16_t{1};
   AddFramPenalty(addr);
+  const bool data = kind != AccessKind::kFetch;
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    Observe(addr, kind, false, kRefusedReadValue);
+    if (data) {
+      Count(addr);
+    }
     return kRefusedReadValue;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    if (kind == AccessKind::kFetch) {
+  if (const MappedDevice* mapped = DeviceFor(addr)) {
+    if (!data) {
       fault_ = BusFault::kFetchFromPeriph;
       return kRefusedReadValue;
     }
-    uint16_t value = device->ReadWord(static_cast<uint16_t>(addr - device->base()));
-    Observe(addr, kind, false, value);
-    return value;
+    Count(addr);
+    return mapped->device->ReadWord(static_cast<uint16_t>(addr - mapped->base));
   }
   bool writable = false;
   uint8_t* backing = BackingFor(addr, kind, &writable);
@@ -103,9 +90,10 @@ uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue;
   }
-  uint16_t value = static_cast<uint16_t>(backing[0] | (backing[1] << 8));
-  Observe(addr, kind, false, value);
-  return value;
+  if (data) {
+    Count(addr);
+  }
+  return static_cast<uint16_t>(backing[0] | (backing[1] << 8));
 }
 
 void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
@@ -113,12 +101,12 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
-    Observe(addr, AccessKind::kWrite, false, value);
+    Count(addr);
     return;  // blocked; violation latched in the MPU
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    Observe(addr, AccessKind::kWrite, false, value);
-    device->WriteWord(static_cast<uint16_t>(addr - device->base()), value);
+  if (const MappedDevice* mapped = DeviceFor(addr)) {
+    Count(addr);
+    mapped->device->WriteWord(static_cast<uint16_t>(addr - mapped->base), value);
     return;
   }
   bool writable = false;
@@ -131,7 +119,7 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
     fault_ = BusFault::kWriteToRom;
     return;
   }
-  Observe(addr, AccessKind::kWrite, false, value);
+  Count(addr);
   backing[0] = static_cast<uint8_t>(value & 0xFF);
   backing[1] = static_cast<uint8_t>(value >> 8);
   InvalidateCode(addr);
@@ -139,16 +127,20 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
 
 uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
   AddFramPenalty(addr);
+  const bool data = kind != AccessKind::kFetch;
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    Observe(addr, kind, true, kRefusedReadValue & 0xFF);
+    if (data) {
+      Count(addr);
+    }
     return kRefusedReadValue & 0xFF;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    uint16_t word = device->ReadWord(static_cast<uint16_t>((addr & ~1) - device->base()));
-    uint8_t value = (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8)
-                                    : static_cast<uint8_t>(word & 0xFF);
-    Observe(addr, kind, true, value);
-    return value;
+  if (const MappedDevice* mapped = DeviceFor(addr)) {
+    if (data) {
+      Count(addr);
+    }
+    const uint16_t word =
+        mapped->device->ReadWord(static_cast<uint16_t>((addr & ~1) - mapped->base));
+    return (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8) : static_cast<uint8_t>(word & 0xFF);
   }
   bool writable = false;
   uint8_t* backing = BackingFor(addr, kind, &writable);
@@ -156,7 +148,9 @@ uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue & 0xFF;
   }
-  Observe(addr, kind, true, *backing);
+  if (data) {
+    Count(addr);
+  }
   return *backing;
 }
 
@@ -164,19 +158,19 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
-    Observe(addr, AccessKind::kWrite, true, value);
+    Count(addr);
     return;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    uint16_t offset = static_cast<uint16_t>((addr & ~1) - device->base());
-    uint16_t word = device->ReadWord(offset);
+  if (const MappedDevice* mapped = DeviceFor(addr)) {
+    const uint16_t offset = static_cast<uint16_t>((addr & ~1) - mapped->base);
+    uint16_t word = mapped->device->ReadWord(offset);
     if ((addr & 1) != 0) {
       word = static_cast<uint16_t>((word & 0x00FF) | (value << 8));
     } else {
       word = static_cast<uint16_t>((word & 0xFF00) | value);
     }
-    Observe(addr, AccessKind::kWrite, true, value);
-    device->WriteWord(offset, word);
+    Count(addr);
+    mapped->device->WriteWord(offset, word);
     return;
   }
   bool writable = false;
@@ -189,7 +183,7 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
     fault_ = BusFault::kWriteToRom;
     return;
   }
-  Observe(addr, AccessKind::kWrite, true, value);
+  Count(addr);
   *backing = value;
   InvalidateCode(addr);
 }

@@ -1,14 +1,14 @@
-// The memory bus: routes CPU accesses to RAM/FRAM arrays and peripheral
-// devices, consults the MPU on every protected access, accumulates FRAM
-// wait-state penalty cycles, and exposes an observer hook used by the Amulet
-// Resource Profiler and by tests.
+// The memory bus: routes CPU accesses to RAM/FRAM arrays and, through a
+// per-byte slot table over the register space, to peripheral devices;
+// checks the MPU on every access; accumulates FRAM wait-state penalty
+// cycles; and counts the data accesses that land in registered regions (the
+// per-device data_accesses of the fleet and of the Amulet Resource Profiler).
 #ifndef SRC_MCU_BUS_H_
 #define SRC_MCU_BUS_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -46,66 +46,35 @@ class BusDevice {
   virtual void WriteWord(uint16_t offset, uint16_t value) = 0;
 };
 
-// Consulted before every access that lands in MPU-covered memory.
-class MemoryProtection {
- public:
-  virtual ~MemoryProtection() = default;
-  // Returns true if the access is permitted. A refusal must latch the
-  // violation inside the implementation (flag + NMI request).
-  virtual bool CheckAccess(uint16_t addr, AccessKind kind) = 0;
-  // Pure preflight for the predecode fast path: returns what CheckAccess()
-  // would return, without latching anything. The conservative default sends
-  // every access down the slow path.
-  virtual bool WouldPermit(uint16_t addr, AccessKind kind) const {
-    (void)addr;
-    (void)kind;
-    return false;
-  }
-  // Monotonic generation counter, bumped whenever the permission
-  // configuration may have changed; lets the fast path cache WouldPermit()
-  // verdicts per instruction. Starts at 1 so that 0 can mean "never
-  // computed". Deliberately a non-virtual field load: the fast path reads
-  // it on every cached step, and a vtable dispatch here is measurable.
-  uint32_t ConfigGeneration() const { return config_generation_; }
-
- protected:
-  // Implementations bump this on every configuration change (register
-  // writes, reset, snapshot restore). Host-side derived state, never
-  // serialized.
-  uint32_t config_generation_ = 1;
-};
-
-struct BusObserverEvent {
-  uint16_t addr = 0;
-  AccessKind kind = AccessKind::kRead;
-  bool byte = false;
-  uint16_t value = 0;
-};
-
 class CodeCache;
+class Mpu;
 
 class Bus {
  public:
   Bus();
 
-  // Devices are consulted in registration order; ranges must not overlap.
+  // Maps `device` over [base, base + size_bytes) in the slot table. The
+  // range must lie inside the register space and overlap no device attached
+  // before it (AMULET_CHECKed).
   void AttachDevice(BusDevice* device);
-  void SetMpu(MemoryProtection* mpu) { mpu_ = mpu; }
-  MemoryProtection* mpu() const { return mpu_; }
+  void SetMpu(Mpu* mpu) { mpu_ = mpu; }
+  const Mpu* mpu() const { return mpu_; }
   // Registers the CPU's predecoded-instruction cache so the bus can kill
   // stale entries whenever backing memory changes (architectural writes,
   // pokes, image loads, snapshot restore).
   void SetCodeCache(CodeCache* cache) { code_cache_ = cache; }
-  void SetObserver(std::function<void(const BusObserverEvent&)> observer) {
-    observer_ = std::move(observer);
-  }
-  bool has_observer() const { return static_cast<bool>(observer_); }
   // Optional flight recorder (not owned; host wiring, never serialized).
   // Receives one store event per architectural write — including writes the
   // MPU blocks, which are exactly the interesting ones in a fault tail.
-  // Distinct from the observer: ClonedDevice::Run() installs and removes the
-  // observer around every run slice, so it cannot double as a forensic tap.
   void set_flight_recorder(FlightRecorder* recorder) { flight_ = recorder; }
+
+  // Counted data regions ([lo, hi) spans; replaces any earlier set). Every
+  // data read or write whose address lies in a span bumps
+  // counted_accesses(): a word access once, at its aligned address, and an
+  // MPU-refused one too. Fetches, unmapped accesses and writes into the BSL
+  // stub never count. Host wiring, never serialized.
+  void SetCountedRegions(const std::vector<std::pair<uint16_t, uint16_t>>& spans);
+  uint64_t counted_accesses() const { return counted_accesses_; }
 
   // Wait states added per FRAM access (fetch or data). The FR5969 runs FRAM
   // at 8 MHz behind a cache; `1` approximates the average penalty at 16 MHz.
@@ -123,16 +92,13 @@ class Bus {
   // path to replay a cached instruction's FRAM fetch cost in one add.
   void AddPenaltyCycles(uint64_t n) { penalty_cycles_ += n; }
 
-  // True when `addr` resolves to plain backed memory (BSL/InfoMem/SRAM/FRAM)
-  // with no device in front of it: reads there are side-effect-free and
-  // fault-free, so the fast path may cache fetched words. Pure.
-  bool IsPlainMemory(uint16_t addr) const;
-
-  // Replays an instruction-stream fetch event to the observer without
-  // touching memory; the fast path uses this to keep profiler/test observer
-  // streams bit-identical to the interpreter's.
-  void ObserveFetch(uint16_t addr, uint16_t value) {
-    Observe(addr, AccessKind::kFetch, false, value);
+  // True when `addr` resolves to plain backed memory (BSL/InfoMem/SRAM/FRAM):
+  // reads there are side-effect-free and fault-free, so the fast path may
+  // cache fetched words. Devices live only in the register space, which is
+  // never plain memory. Pure.
+  static bool IsPlainMemory(uint16_t addr) {
+    const uint32_t a = addr;
+    return InRange(a, kBslStart, kBslEnd) || IsInfoMem(a) || IsSram(a) || a >= kFramStart;
   }
 
   // CPU-facing accessors. Word addresses have bit 0 ignored (as on the real
@@ -147,7 +113,7 @@ class Bus {
   BusFault fault() const { return fault_; }
   void ClearFault() { fault_ = BusFault::kNone; }
 
-  // Host-side (non-architectural) access: no MPU, no observer, no penalties.
+  // Host-side (non-architectural) access: no MPU, no counting, no penalties.
   // Used by loaders, tests, and the OS to implement services.
   uint8_t PeekByte(uint16_t addr) const;
   void PokeByte(uint16_t addr, uint8_t value);
@@ -156,7 +122,7 @@ class Bus {
   Status LoadImage(uint16_t base, const std::vector<uint8_t>& bytes);
 
   // Snapshot support: memory image + bus bookkeeping. Wiring (devices, MPU,
-  // observer) is reconstructed by the owning Machine, not serialized.
+  // counted regions) is reconstructed by the owner, not serialized.
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 
@@ -164,20 +130,43 @@ class Bus {
   // Returns backing storage for a plain-memory address, or nullptr if the
   // address belongs to a device/hole.
   uint8_t* BackingFor(uint16_t addr, AccessKind kind, bool* writable);
-  BusDevice* DeviceFor(uint16_t addr);
-  void Observe(uint16_t addr, AccessKind kind, bool byte, uint16_t value);
-  void AddFramPenalty(uint16_t addr);
+
+  struct MappedDevice {
+    BusDevice* device;
+    uint16_t base;
+  };
+  // One slot-table load; nullptr outside every device.
+  const MappedDevice* DeviceFor(uint16_t addr) const {
+    if (addr >= kPeriphEnd || device_slot_[addr] == 0) {
+      return nullptr;
+    }
+    return &devices_[device_slot_[addr] - 1];
+  }
+
+  void Count(uint16_t addr) {
+    counted_accesses_ += (counted_[addr >> 6] >> (addr & 63)) & 1;
+  }
+
+  void AddFramPenalty(uint16_t addr) {
+    if (fram_wait_states_ > 0 && IsAnyFram(addr)) {
+      penalty_cycles_ += static_cast<uint64_t>(fram_wait_states_);
+    }
+  }
 
   // Invalidates code-cache entries covering `addr` (no-op when no cache is
   // registered). Called from every path that mutates mem_.
   void InvalidateCode(uint16_t addr);
 
   std::array<uint8_t, 0x10000> mem_{};  // flat backing store for all memory regions
-  std::vector<BusDevice*> devices_;
-  MemoryProtection* mpu_ = nullptr;
+  std::vector<MappedDevice> devices_;
+  // Per register-space byte: 1 + index into devices_, or 0 for no device.
+  std::array<uint8_t, kPeriphEnd> device_slot_{};
+  // One bit per byte address: set inside a counted data region.
+  std::array<uint64_t, 0x10000 / 64> counted_{};
+  uint64_t counted_accesses_ = 0;
+  Mpu* mpu_ = nullptr;
   CodeCache* code_cache_ = nullptr;
   FlightRecorder* flight_ = nullptr;
-  std::function<void(const BusObserverEvent&)> observer_;
   BusFault fault_ = BusFault::kNone;
   int fram_wait_states_ = 0;
   uint64_t penalty_cycles_ = 0;

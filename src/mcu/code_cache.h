@@ -1,9 +1,10 @@
 // Predecoded-instruction cache for the fast simulator core.
 //
 // One direct-mapped entry per 16-bit word address (32768 slots covering the
-// whole address space), each holding the dense PredecodedInsn record plus the
-// raw fetched words (for bus-observer replay) and cached fetch-permission
-// state. Entries are validated lazily by Cpu::StepFast() and killed by the
+// whole address space), each holding the dense PredecodedInsn record and the
+// FRAM word count its fetch replay needs. Fetch permission is not cached: the
+// MPU is reprogrammed on every app/OS switch, so StepFast() checks it per
+// step. Entries are validated lazily by Cpu::StepFast() and killed by the
 // bus whenever backing memory changes: architectural writes (self-modifying
 // code, OTA bank writes), host-side pokes, image loads, and snapshot restore.
 //
@@ -27,19 +28,12 @@ class CodeCache {
     // Entry is live iff `gen` equals the cache's current generation.
     // InvalidateAll() bumps the generation instead of touching 32768 slots.
     uint32_t gen = 0;
-    // MPU configuration generation `fetch_ok` was computed under; 0 means
-    // "never computed" (MemoryProtection generations start at 1).
-    uint32_t mpu_gen = 0;
-    // True when the MPU would permit fetching every word of the instruction.
-    bool fetch_ok = false;
     // True when any word of the instruction lies outside plain backed
     // memory (peripheral space, holes): fetches there have side effects or
     // faults the fast path cannot replay, so always take the interpreter.
     bool slow_only = false;
     // How many of the fetched words live in FRAM (wait-state penalties).
     uint8_t fram_words = 0;
-    // Raw stream words, for replaying bus-observer fetch events.
-    uint16_t raw[3] = {0, 0, 0};
     PredecodedInsn pd;
   };
 

@@ -4,6 +4,7 @@
 #include "src/mcu/snapshot.h"
 #include "src/isa/encoding.h"
 #include "src/mcu/memory_map.h"
+#include "src/mcu/mpu.h"
 #include "src/scope/flight_recorder.h"
 #include "src/scope/probe.h"
 #include "src/scope/profiler.h"
@@ -723,18 +724,17 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
   // raises no fault, and the bus invalidates us when it changes. Anything
   // else (device registers, unmapped holes) takes the interpreter, uncached,
   // so its fault/side-effect behavior stays exactly the baseline's.
-  if (!bus_->IsPlainMemory(addr)) {
+  if (!Bus::IsPlainMemory(addr)) {
     return false;
   }
-  entry->raw[0] = bus_->PeekWord(addr);
-  entry->raw[1] = bus_->PeekWord(static_cast<uint16_t>(addr + 2));
-  entry->raw[2] = bus_->PeekWord(static_cast<uint16_t>(addr + 4));
-  PredecodeInto(addr, entry->raw, &entry->pd);
+  const uint16_t words[3] = {bus_->PeekWord(addr), bus_->PeekWord(static_cast<uint16_t>(addr + 2)),
+                             bus_->PeekWord(static_cast<uint16_t>(addr + 4))};
+  PredecodeInto(addr, words, &entry->pd);
   entry->slow_only = false;
   entry->fram_words = IsAnyFram(addr) ? 1 : 0;
   for (int i = 1; i < entry->pd.length_words; ++i) {
     const uint16_t word_addr = static_cast<uint16_t>(addr + 2 * i);
-    if (!bus_->IsPlainMemory(word_addr)) {
+    if (!Bus::IsPlainMemory(word_addr)) {
       // An extension-word fetch would hit device space or fault; the replay
       // below cannot reproduce that, so this address is permanently slow.
       entry->slow_only = true;
@@ -744,8 +744,6 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
       ++entry->fram_words;
     }
   }
-  entry->mpu_gen = 0;  // force a WouldPermit() pass on first execution
-  entry->fetch_ok = false;
   cache_.MarkValid(entry);
   return true;
 }
@@ -766,50 +764,34 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
     return StepSlow(insn_addr);
   }
   const PredecodedInsn& pd = entry->pd;
+  // An invalid opcode only ever fetched its first word.
+  const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
 
-  // Fetch-permission preflight, cached per entry and revalidated with one
-  // generation compare. WouldPermit() is pure and CheckAccess() has no side
-  // effects when it allows, so skipping the per-word checks on the hot path
-  // is bit-identical. A refusal anywhere defers to the interpreter, which
-  // replays the whole fetch sequence from scratch (penalties, 0x3FFF reads,
-  // violation latching, NMI) exactly as the baseline would.
-  if (MemoryProtection* mpu = bus_->mpu()) {
-    const uint32_t mpu_gen = mpu->ConfigGeneration();
-    if (entry->mpu_gen != mpu_gen) {
-      const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
-      bool ok = true;
-      for (int i = 0; i < fetch_words; ++i) {
-        if (!mpu->WouldPermit(static_cast<uint16_t>(insn_addr + 2 * i), AccessKind::kFetch)) {
-          ok = false;
-          break;
-        }
+  // Fetch permission, checked word by word on every step (the OS reprograms
+  // the MPU on every app/OS switch, so a cached verdict would rarely hold).
+  // WouldPermit() is pure and CheckAccess() has no side effects when it
+  // allows, so skipping the bus fetch is bit-identical. A refusal anywhere
+  // defers to the interpreter, which replays the whole fetch sequence from
+  // scratch (penalties, 0x3FFF reads, violation latching, NMI) exactly as
+  // the baseline would.
+  if (const Mpu* mpu = bus_->mpu()) {
+    for (int i = 0; i < fetch_words; ++i) {
+      if (!mpu->WouldPermit(static_cast<uint16_t>(insn_addr + 2 * i), AccessKind::kFetch)) {
+        cache_.CountSlowPath();
+        return StepSlow(insn_addr);
       }
-      entry->fetch_ok = ok;
-      entry->mpu_gen = mpu_gen;
-    }
-    if (!entry->fetch_ok) {
-      cache_.CountSlowPath();
-      return StepSlow(insn_addr);
     }
   }
 
   bus_->ClearFault();
 
-  // Replay the fetch stream's observable side effects without touching
+  // Replay the fetch stream's only observable side effect without touching
   // memory: FRAM wait-state penalties into the bus accumulator (recomputed
-  // per step -- the wait-state setting can change at runtime), then observer
-  // fetch events with the cached word values (invalidation guarantees they
-  // equal memory). An invalid opcode only ever fetched its first word.
-  const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
+  // per step -- the wait-state setting can change at runtime).
   const int wait_states = bus_->fram_wait_states();
   if (wait_states > 0 && entry->fram_words > 0) {
     bus_->AddPenaltyCycles(static_cast<uint64_t>(entry->fram_words) *
                            static_cast<uint64_t>(wait_states));
-  }
-  if (bus_->has_observer()) {
-    for (int i = 0; i < fetch_words; ++i) {
-      bus_->ObserveFetch(static_cast<uint16_t>(insn_addr + 2 * i), entry->raw[i]);
-    }
   }
 
   if (pd.cls == InsnClass::kInvalid) {

@@ -8,9 +8,10 @@
 //     the baseline for differential testing (set_predecode(false)).
 //   * StepFast() -- the default: executes dense PredecodedInsn records from
 //     a CodeCache keyed by word address, replaying the interpreter's
-//     observable side effects (FRAM wait states, observer fetch events,
-//     cycle attribution) bit-identically. Falls back to StepSlow() whenever
-//     a fetch would touch device space or the MPU would refuse it.
+//     observable side effects (FRAM wait states, cycle attribution)
+//     bit-identically. It checks every fetched word against the MPU on every
+//     step and falls back to StepSlow() whenever a fetch would touch device
+//     space or the MPU would refuse it.
 #ifndef SRC_MCU_CPU_H_
 #define SRC_MCU_CPU_H_
 
@@ -97,6 +98,9 @@ class Cpu {
   bool predecode_enabled() const { return predecode_enabled_; }
 
   uint64_t cycle_count() const { return cycles_; }
+  // Address of the cycle counter, for host-side clocks that sample it on
+  // every event (the flight recorder).
+  const uint64_t* cycle_counter() const { return &cycles_; }
   uint64_t instruction_count() const { return instructions_; }
   // Predecode-cache effectiveness counters (host-side; never digested).
   const CodeCache::Stats& code_cache_stats() const { return cache_.stats(); }

@@ -41,7 +41,7 @@ void Machine::AttachProfiler(CycleProfiler* profiler) {
 
 void Machine::AttachFlightRecorder(FlightRecorder* recorder) {
   if (recorder != nullptr) {
-    recorder->set_clock([this] { return cpu_.cycle_count(); });
+    recorder->set_clock(cpu_.cycle_counter());
   }
   cpu_.set_flight_recorder(recorder);
   bus_.set_flight_recorder(recorder);

@@ -75,9 +75,9 @@ class Machine {
   void AttachFlightRecorder(FlightRecorder* recorder);
 
   // Serializes the complete machine state (memory, CPU, peripherals,
-  // signals) into `w`. Host-side wiring — the HOSTIO syscall handler, bus
-  // observer, and execution trace — is not part of machine state and must be
-  // reattached by the owner after a restore.
+  // signals) into `w`. Host-side wiring — the HOSTIO syscall handler, the
+  // bus's counted regions, and execution trace — is not part of machine
+  // state and must be reattached by the owner after a restore.
   void SaveState(SnapshotWriter& w) const;
   Status LoadState(SnapshotReader& r);
 

@@ -43,13 +43,11 @@ void Mpu::WriteWord(uint16_t offset, uint16_t value) {
       AMULET_PROBE_SPAN_BEGIN(tracer_, "mpu.reconfig", value & 0x00FF);
     }
     ctl0_ = value & 0x00FF;
-    ++config_generation_;
     return;
   }
   if (locked()) {
     return;
   }
-  ++config_generation_;
   switch (offset) {
     case kMpuCtl1:
       // Write-1-to-clear violation flags.
@@ -74,98 +72,22 @@ void Mpu::WriteWord(uint16_t offset, uint16_t value) {
   }
 }
 
-int Mpu::SegmentOf(uint16_t addr) const {
-  if (IsInfoMem(addr)) {
-    return 0;
-  }
-  if (!IsMainFram(addr)) {
-    return -1;
-  }
-  if (addr < boundary1()) {
-    return 1;
-  }
-  if (addr < boundary2()) {
-    return 2;
-  }
-  return 3;
-}
-
 void Mpu::LatchViolation(int segment, uint16_t addr, AccessKind kind) {
-  uint16_t flag = 0;
-  int shift = 0;
-  switch (segment) {
-    case 0:
-      flag = kMpuSegInfoIfg;
-      shift = kMpuSamInfoShift;
-      break;
-    case 1:
-      flag = kMpuSeg1Ifg;
-      shift = kMpuSamSeg1Shift;
-      break;
-    case 2:
-      flag = kMpuSeg2Ifg;
-      shift = kMpuSamSeg2Shift;
-      break;
-    case 3:
-      flag = kMpuSeg3Ifg;
-      shift = kMpuSamSeg3Shift;
-      break;
-    default:
-      return;
+  static constexpr uint16_t kFlag[4] = {kMpuSegInfoIfg, kMpuSeg1Ifg, kMpuSeg2Ifg, kMpuSeg3Ifg};
+  if (segment < 0) {
+    return;
   }
+  const uint16_t flag = kFlag[segment];
   ctl1_ |= flag;
   last_violation_addr_ = addr;
   last_violation_kind_ = kind;
   AMULET_PROBE_INSTANT(tracer_, "mpu.violation", addr, flag);
-  const bool puc_selected = (sam_ >> shift & kMpuSamVs) != 0;
+  const bool puc_selected = (sam_ >> kSamShift[segment] & kMpuSamVs) != 0;
   if (puc_selected) {
     signals_->puc_requested = true;
   } else {
     signals_->nmi_pending = true;
   }
-}
-
-bool Mpu::AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const {
-  *segment = -1;
-  if (!enabled()) {
-    return true;
-  }
-  *segment = SegmentOf(addr);
-  if (*segment < 0) {
-    return true;  // SRAM / peripherals / vectors: never covered
-  }
-  int shift = kMpuSamInfoShift;
-  if (*segment == 1) {
-    shift = kMpuSamSeg1Shift;
-  } else if (*segment == 2) {
-    shift = kMpuSamSeg2Shift;
-  } else if (*segment == 3) {
-    shift = kMpuSamSeg3Shift;
-  }
-  const uint16_t rights = static_cast<uint16_t>(sam_ >> shift);
-  switch (kind) {
-    case AccessKind::kFetch:
-      return (rights & kMpuSamExec) != 0;
-    case AccessKind::kRead:
-      return (rights & kMpuSamRead) != 0;
-    case AccessKind::kWrite:
-      return (rights & kMpuSamWrite) != 0;
-  }
-  return false;
-}
-
-bool Mpu::CheckAccess(uint16_t addr, AccessKind kind) {
-  int segment = -1;
-  const bool allowed = AccessAllowed(addr, kind, &segment);
-  if (!allowed) {
-    LatchViolation(segment, addr, kind);
-  }
-  return allowed;
-}
-
-bool Mpu::WouldPermit(uint16_t addr, AccessKind kind) const {
-  int segment = -1;
-  return AccessAllowed(addr, kind, &segment);
 }
 
 void Mpu::Reset() {
@@ -181,7 +103,6 @@ void Mpu::Reset() {
   segb2_ = 0;
   sam_ = 0x7777;  // all segments R+W+X, NMI on violation
   last_violation_addr_ = 0;
-  ++config_generation_;
 }
 
 void Mpu::SaveState(SnapshotWriter& w) const {
@@ -202,7 +123,6 @@ void Mpu::LoadState(SnapshotReader& r) {
   sam_ = r.U16();
   last_violation_addr_ = r.U16();
   last_violation_kind_ = static_cast<AccessKind>(r.U8());
-  ++config_generation_;
 }
 
 }  // namespace amulet

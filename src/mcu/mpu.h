@@ -65,7 +65,7 @@ constexpr uint16_t MpuRights(bool r, bool w, bool x, bool puc_on_violation = fal
                                (x ? kMpuSamExec : 0) | (puc_on_violation ? kMpuSamVs : 0));
 }
 
-class Mpu : public BusDevice, public MemoryProtection {
+class Mpu : public BusDevice {
  public:
   explicit Mpu(McuSignals* signals) : signals_(signals) {}
 
@@ -75,11 +75,22 @@ class Mpu : public BusDevice, public MemoryProtection {
   uint16_t ReadWord(uint16_t offset) override;
   void WriteWord(uint16_t offset, uint16_t value) override;
 
-  // MemoryProtection:
-  bool CheckAccess(uint16_t addr, AccessKind kind) override;
-  // Pure twin of CheckAccess(): same verdict, nothing latched. Used by the
-  // predecode fast path to prove a cached fetch needs no per-step check.
-  bool WouldPermit(uint16_t addr, AccessKind kind) const override;
+  // Consulted by the bus before every access. Returns true if the access is
+  // permitted; a refusal latches the violation (flag + NMI or PUC request).
+  bool CheckAccess(uint16_t addr, AccessKind kind) {
+    int segment = -1;
+    if (AccessAllowed(addr, kind, &segment)) {
+      return true;
+    }
+    LatchViolation(segment, addr, kind);
+    return false;
+  }
+  // Pure twin of CheckAccess(): same verdict, nothing latched. The predecode
+  // fast path checks every fetched word with it.
+  bool WouldPermit(uint16_t addr, AccessKind kind) const {
+    int segment = -1;
+    return AccessAllowed(addr, kind, &segment);
+  }
 
   // State inspection (host-side; used by OS fault handling and tests).
   bool enabled() const { return (ctl0_ & kMpuEna) != 0; }
@@ -108,10 +119,45 @@ class Mpu : public BusDevice, public MemoryProtection {
   void LoadState(SnapshotReader& r);
 
  private:
-  int SegmentOf(uint16_t addr) const;  // 1..3 main, 0 info, -1 uncovered
+  // MPUSAM shift of each segment's rights nibble, indexed by SegmentOf().
+  static constexpr int kSamShift[4] = {kMpuSamInfoShift, kMpuSamSeg1Shift, kMpuSamSeg2Shift,
+                                       kMpuSamSeg3Shift};
+
+  // 1..3 main, 0 info, -1 uncovered.
+  int SegmentOf(uint16_t addr) const {
+    if (IsInfoMem(addr)) {
+      return 0;
+    }
+    if (!IsMainFram(addr)) {
+      return -1;
+    }
+    if (addr < boundary1()) {
+      return 1;
+    }
+    return addr < boundary2() ? 2 : 3;
+  }
   // Shared allow-logic of CheckAccess/WouldPermit; fills *segment for the
   // latch path. Pure.
-  bool AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const;
+  bool AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const {
+    *segment = -1;
+    if (!enabled()) {
+      return true;
+    }
+    *segment = SegmentOf(addr);
+    if (*segment < 0) {
+      return true;  // SRAM / peripherals / vectors: never covered
+    }
+    const uint16_t rights = static_cast<uint16_t>(sam_ >> kSamShift[*segment]);
+    switch (kind) {
+      case AccessKind::kFetch:
+        return (rights & kMpuSamExec) != 0;
+      case AccessKind::kRead:
+        return (rights & kMpuSamRead) != 0;
+      case AccessKind::kWrite:
+        return (rights & kMpuSamWrite) != 0;
+    }
+    return false;
+  }
   void LatchViolation(int segment, uint16_t addr, AccessKind kind);
 
   McuSignals* signals_;
@@ -125,9 +171,6 @@ class Mpu : public BusDevice, public MemoryProtection {
   uint16_t sam_ = 0x7777;  // reset: all segments R+W+X, NMI on violation
   uint16_t last_violation_addr_ = 0;
   AccessKind last_violation_kind_ = AccessKind::kRead;
-  // MemoryProtection::config_generation_ (inherited) is bumped on every
-  // register write, reset, and snapshot restore so cached WouldPermit()
-  // verdicts can be revalidated with one compare.
 };
 
 }  // namespace amulet

@@ -19,7 +19,9 @@ class ExecutionTrace {
 
   void Record(uint16_t pc) {
     ring_[next_] = pc;
-    next_ = (next_ + 1) % ring_.size();
+    if (++next_ == ring_.size()) {
+      next_ = 0;
+    }
     if (recorded_ < ring_.size()) {
       ++recorded_;
     }

@@ -13,7 +13,6 @@
 #define SRC_SCOPE_FLIGHT_RECORDER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,17 +45,20 @@ class FlightRecorder {
   explicit FlightRecorder(size_t capacity = kDefaultCapacity)
       : ring_(capacity == 0 ? 1 : capacity) {}
 
-  // Timestamp source; normally the CPU cycle counter, wired by
-  // Machine::AttachFlightRecorder. Events record 0 cycles until set.
-  void set_clock(std::function<uint64_t()> clock) { clock_ = std::move(clock); }
+  // Timestamp source: the counter is read on every event. Normally the CPU
+  // cycle counter, wired by Machine::AttachFlightRecorder. Events record 0
+  // cycles until set.
+  void set_clock(const uint64_t* cycles) { clock_ = cycles; }
 
   void Record(FlightEventKind kind, uint16_t a, uint16_t b) {
     FlightEvent& e = ring_[next_];
-    e.cycles = clock_ ? clock_() : 0;
+    e.cycles = clock_ != nullptr ? *clock_ : 0;
     e.a = a;
     e.b = b;
     e.kind = kind;
-    next_ = (next_ + 1) % ring_.size();
+    if (++next_ == ring_.size()) {
+      next_ = 0;
+    }
     if (recorded_ < ring_.size()) {
       ++recorded_;
     }
@@ -83,7 +85,7 @@ class FlightRecorder {
   size_t next_ = 0;
   size_t recorded_ = 0;
   uint64_t total_ = 0;
-  std::function<uint64_t()> clock_;
+  const uint64_t* clock_ = nullptr;
 };
 
 // One-line human rendering: "  [    1234] branch 0xf012 -> 0xf100".

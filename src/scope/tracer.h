@@ -6,8 +6,8 @@
 // copy). Timestamps come from an injected clock — the Machine wires it to
 // the CPU cycle counter, so trace time is *simulated* time, independent of
 // host scheduling. Tracer state is host-side wiring: it is intentionally
-// excluded from machine snapshots (like the syscall handler and bus
-// observer) and must be re-attached after a restore.
+// excluded from machine snapshots (like the syscall handler and the bus's
+// counted regions) and must be re-attached after a restore.
 #ifndef SRC_SCOPE_TRACER_H_
 #define SRC_SCOPE_TRACER_H_
 

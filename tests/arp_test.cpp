@@ -97,6 +97,51 @@ TEST(ArpTest, IsolatedModelsCostMoreThanBaseline) {
   }
 }
 
+// Exact per-handler means of the "rest" app (timer and accel handlers) under
+// two models. data_accesses is the bus's counted-region counter, so any
+// change to what the bus counts moves these pins.
+TEST(ArpTest, PinnedHandlerProfiles) {
+  const AppSpec* rest = nullptr;
+  for (const AppSpec& app : AmuletAppSuite()) {
+    if (app.name == "rest") {
+      rest = &app;
+    }
+  }
+  ASSERT_NE(rest, nullptr);
+  struct Pin {
+    MemoryModel model;
+    EventType type;
+    double cycles;
+    double data_accesses;
+    double syscalls;
+  };
+  const Pin pins[] = {
+      {MemoryModel::kMpu, EventType::kTimer, 680, 61, 1},
+      {MemoryModel::kMpu, EventType::kAccel, 1179.8, 117.5, 0},
+      {MemoryModel::kSoftwareOnly, EventType::kTimer, 566, 61, 1},
+      {MemoryModel::kSoftwareOnly, EventType::kAccel, 1143.8, 117.5, 0},
+  };
+  ArpOptions options;
+  options.samples_per_event = 10;
+  for (MemoryModel model : {MemoryModel::kMpu, MemoryModel::kSoftwareOnly}) {
+    auto profile = ProfileApp(*rest, model, options);
+    ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+    EXPECT_EQ(profile->handlers.size(), 2u);
+    for (const Pin& pin : pins) {
+      if (pin.model != model) {
+        continue;
+      }
+      SCOPED_TRACE(std::string(MemoryModelName(model)) + " " + EventHandlerName(pin.type));
+      ASSERT_EQ(profile->handlers.count(pin.type), 1u);
+      const HandlerProfile& handler = profile->handlers.at(pin.type);
+      EXPECT_EQ(handler.samples, 10);
+      EXPECT_DOUBLE_EQ(handler.mean_cycles, pin.cycles);
+      EXPECT_DOUBLE_EQ(handler.mean_data_accesses, pin.data_accesses);
+      EXPECT_DOUBLE_EQ(handler.mean_syscalls, pin.syscalls);
+    }
+  }
+}
+
 TEST(ArpTest, OverheadClampsAtZero) {
   AppProfile cheap;
   cheap.cycles_per_week = 100;

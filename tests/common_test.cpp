@@ -107,5 +107,69 @@ TEST(StringsTest, WithThousands) {
   EXPECT_EQ(WithThousands(1234567890ull), "1,234,567,890");
 }
 
+TEST(StringsTest, ParseIntegerTakesWholeInRangeNumbers) {
+  int i = 0;
+  EXPECT_TRUE(ParseInteger("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseInteger("-7", &i));
+  EXPECT_EQ(i, -7);
+  EXPECT_TRUE(ParseInteger("2147483647", &i));
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_TRUE(ParseInteger("-2147483648", &i));
+  EXPECT_EQ(i, -2147483647 - 1);
+
+  uint32_t u = 0;
+  EXPECT_TRUE(ParseInteger("4294967295", &u));
+  EXPECT_EQ(u, 4294967295u);
+  uint64_t big = 0;
+  EXPECT_TRUE(ParseInteger("18446744073709551615", &big));
+  EXPECT_EQ(big, ~uint64_t{0});
+  int64_t wide = 0;
+  EXPECT_TRUE(ParseInteger("99999999999", &wide));
+  EXPECT_EQ(wide, 99999999999);
+}
+
+TEST(StringsTest, ParseIntegerTakesHexAndOctal) {
+  uint32_t u = 0;
+  EXPECT_TRUE(ParseInteger("0xB007", &u, 0));
+  EXPECT_EQ(u, 0xB007u);
+  EXPECT_TRUE(ParseInteger("010", &u, 0));
+  EXPECT_EQ(u, 8u);
+  EXPECT_TRUE(ParseInteger("20180711", &u, 0));
+  EXPECT_EQ(u, 20180711u);
+  uint16_t word = 0;
+  EXPECT_TRUE(ParseInteger("FFFF", &word, 16));
+  EXPECT_EQ(word, 0xFFFF);
+  EXPECT_TRUE(ParseInteger("a5c3", &word, 16));
+  EXPECT_EQ(word, 0xA5C3);
+  // Base 10 reads only the leading zero of "0x10".
+  EXPECT_FALSE(ParseInteger("0x10", &u));
+  EXPECT_FALSE(ParseInteger("0x", &u, 0));
+  EXPECT_FALSE(ParseInteger("0xG", &u, 0));
+}
+
+TEST(StringsTest, ParseIntegerRejectsMalformedAndOutOfRange) {
+  int i = 123;
+  for (const char* bad : {"", "3x", "banana", " 5", "5 ", "+5", "-", "--1", "- 5", "1e3", "0.5",
+                          "2147483648", "-2147483649", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseInteger(bad, &i));
+    EXPECT_EQ(i, 123) << "failed parses leave the target alone";
+  }
+  EXPECT_FALSE(ParseInteger(std::string_view("12\0" "3", 4), &i)) << "embedded NUL";
+
+  uint32_t u = 9;
+  for (const char* bad : {"-1", "-0", "4294967296", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseInteger(bad, &u, 0));
+  }
+  uint16_t word = 0;
+  EXPECT_FALSE(ParseInteger("10000", &word, 16));
+  EXPECT_FALSE(ParseInteger("-5", &word, 16));
+  uint64_t big = 0;
+  EXPECT_FALSE(ParseInteger("18446744073709551616", &big));
+  EXPECT_EQ(u, 9u);
+}
+
 }  // namespace
 }  // namespace amulet

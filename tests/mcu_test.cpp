@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "src/common/strings.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/trace.h"
@@ -735,6 +740,262 @@ TEST(MachineTest, RunHandlesBudget) {
   auto out = m.Run(100);
   EXPECT_EQ(out.result, StepResult::kOk);
   EXPECT_GE(out.cycles, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Counted data regions: the bus counter behind the fleet's and ARP's
+// per-device data_accesses. Every rule runs under both cores.
+// ---------------------------------------------------------------------------
+
+using Spans = std::vector<std::pair<uint16_t, uint16_t>>;  // [lo, hi)
+
+struct CountedRun {
+  Cpu::RunOutcome outcome;
+  uint64_t counted = 0;
+};
+
+CountedRun RunCounted(const Spans& spans, const std::string& program, bool predecode) {
+  Machine m;
+  m.cpu().set_predecode(predecode);
+  m.bus().SetCountedRegions(spans);
+  AssembleAndLoad(&m, program);
+  CountedRun run;
+  const uint64_t before = m.bus().counted_accesses();
+  run.outcome = m.Run(50000);
+  run.counted = m.bus().counted_accesses() - before;
+  return run;
+}
+
+TEST(CountedRegionTest, WordAccessCountsOnceAtItsAlignedAddress) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    // Only byte 0x7000 is counted; word accesses at 0x7001 land on 0x7000.
+    const CountedRun run = RunCounted({{0x7000, 0x7001}},
+                                      "start:\n"
+                                      "  mov &0x7001, r4\n"     // counted
+                                      "  mov r4, &0x7001\n"     // counted
+                                      "  add &0x7000, r4\n"     // counted
+                                      "  mov #1, &0x7002\n" +   // outside
+                                          std::string(kStop),
+                                      predecode);
+    EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+    EXPECT_EQ(run.counted, 3u);
+  }
+}
+
+TEST(CountedRegionTest, ByteAccessCountsAtItsOwnAddress) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    const CountedRun run = RunCounted({{0x7001, 0x7002}},
+                                      "start:\n"
+                                      "  mov.b &0x7001, r4\n"  // counted
+                                      "  mov.b &0x7000, r5\n"  // outside
+                                      "  mov.b r4, &0x7001\n"  // counted
+                                      "  mov.b r5, &0x7000\n" +  // outside
+                                          std::string(kStop),
+                                      predecode);
+    EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+    EXPECT_EQ(run.counted, 2u);
+  }
+}
+
+TEST(CountedRegionTest, FetchesNeverCount) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    // The span covers the program itself: its opcode and extension-word
+    // fetches are free, and only the explicit data read of `start` counts.
+    const CountedRun run = RunCounted({{kFramStart, kFramStart + 0x40}},
+                                      "start:\n"
+                                      "  mov #3, r4\n"
+                                      "loop:\n"
+                                      "  add #0x1234, r5\n"
+                                      "  dec r4\n"
+                                      "  jnz loop\n"
+                                      "  mov &start, r6\n" +  // counted
+                                          std::string(kStop),
+                                      predecode);
+    EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+    EXPECT_EQ(run.counted, 1u);
+  }
+}
+
+TEST(CountedRegionTest, MpuRefusedReadsAndWritesCount) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    // Segment 3 (0xA000 up) has no access rights: the read returns 0x3FFF,
+    // the write is dropped, and both still count.
+    const CountedRun run = RunCounted({{0xB000, 0xB010}},
+                                      std::string(kMpuRegs) +
+                                          "start:\n"
+                                          "  mov #0x2400, sp\n"
+                                          "  mov #nmi, &0xFFFC\n"
+                                          "  mov #0x0800, &MPUSEGB1\n"
+                                          "  mov #0x0A00, &MPUSEGB2\n"
+                                          "  mov #0x0034, &MPUSAM\n"
+                                          "  mov #0xA501, &MPUCTL0\n"
+                                          "  mov &0xB000, &0xB002\n" +  // 2 counted
+                                          std::string(kStop) +
+                                          "nmi:\n"
+                                          "  mov #3, &0x0710\n",
+                                      predecode);
+    EXPECT_EQ(run.outcome.stop_code, 3);
+    EXPECT_EQ(run.counted, 2u);
+  }
+}
+
+TEST(CountedRegionTest, PeripheralAccessesInsideASpanCount) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    // HOSTIO's stop register at 0x0710: the STOP write itself counts.
+    const CountedRun run =
+        RunCounted({{0x0710, 0x0712}}, "start:\n" + std::string(kStop), predecode);
+    EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+    EXPECT_EQ(run.counted, 1u);
+  }
+}
+
+TEST(CountedRegionTest, UnmappedReadAndBslWriteDoNotCount) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    const Spans spans = {{0x1000, 0x1010}, {0x2400, 0x2410}};
+    const CountedRun unmapped =
+        RunCounted(spans, "start:\n  mov &0x2400, r4\n" + std::string(kStop), predecode);
+    EXPECT_EQ(unmapped.outcome.result, StepResult::kHalted);
+    EXPECT_EQ(unmapped.counted, 0u);
+    // The BSL read counts; the refused write into the BSL stub does not.
+    const CountedRun bsl = RunCounted(spans,
+                                      "start:\n"
+                                      "  mov &0x1000, r4\n"
+                                      "  mov r4, &0x1002\n" +
+                                          std::string(kStop),
+                                      predecode);
+    EXPECT_EQ(bsl.outcome.result, StepResult::kHalted);
+    EXPECT_EQ(bsl.counted, 1u);
+  }
+}
+
+TEST(CountedRegionTest, NoSpansCountNothing) {
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    const CountedRun run = RunCounted({},
+                                      "start:\n"
+                                      "  mov #0x2400, sp\n"
+                                      "  mov #0x7000, r4\n"
+                                      "  mov @r4+, r5\n"
+                                      "  mov.b r5, 2(r4)\n"
+                                      "  push r5\n"
+                                      "  pop r6\n" +
+                                          std::string(kStop),
+                                      predecode);
+    EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+    EXPECT_EQ(run.counted, 0u);
+  }
+}
+
+// A register block that records which word offsets the bus hands it.
+class RecordingDevice : public BusDevice {
+ public:
+  RecordingDevice(uint16_t base, uint16_t size) : base_(base), size_(size) {}
+  uint16_t base() const override { return base_; }
+  uint16_t size_bytes() const override { return size_; }
+  uint16_t ReadWord(uint16_t offset) override {
+    ++reads;
+    last_read = offset;
+    return static_cast<uint16_t>(0xA500 | offset);
+  }
+  void WriteWord(uint16_t offset, uint16_t value) override {
+    ++writes;
+    last_write = offset;
+    last_value = value;
+  }
+
+  int reads = 0;
+  int writes = 0;
+  uint16_t last_read = 0xFFFF;
+  uint16_t last_write = 0xFFFF;
+  uint16_t last_value = 0;
+
+ private:
+  uint16_t base_;
+  uint16_t size_;
+};
+
+TEST(BusTest, DeviceTableDispatchesEveryByteOfEachDevice) {
+  // Stand-ins at the five real register blocks' addresses.
+  Machine machine;
+  const BusDevice* real[] = {&machine.mpu(), &machine.timer(), &machine.hostio(),
+                             &machine.multiplier(), &machine.watchdog()};
+  std::vector<std::unique_ptr<RecordingDevice>> devices;
+  Bus bus;
+  for (const BusDevice* device : real) {
+    devices.push_back(std::make_unique<RecordingDevice>(device->base(), device->size_bytes()));
+    bus.AttachDevice(devices.back().get());
+  }
+  for (const auto& device : devices) {
+    const uint16_t base = device->base();
+    const uint32_t end = static_cast<uint32_t>(base) + device->size_bytes();
+    for (uint32_t a = base; a < end; ++a) {
+      SCOPED_TRACE(HexWord(static_cast<uint16_t>(a)));
+      const uint16_t addr = static_cast<uint16_t>(a);
+      const uint16_t offset = static_cast<uint16_t>((addr & ~1) - base);
+      const bool high = (addr & 1) != 0;
+
+      EXPECT_EQ(bus.ReadWord(addr, AccessKind::kRead), 0xA500 | offset);
+      EXPECT_EQ(device->last_read, offset);
+
+      const uint8_t expected_byte = high ? 0xA5 : static_cast<uint8_t>(offset);
+      EXPECT_EQ(bus.ReadByte(addr, AccessKind::kRead), expected_byte);
+
+      // Byte write: read-modify-write of the containing word.
+      const int reads_before = device->reads;
+      bus.WriteByte(addr, 0x5C, AccessKind::kWrite);
+      EXPECT_EQ(device->reads, reads_before + 1);
+      EXPECT_EQ(device->last_write, offset);
+      EXPECT_EQ(device->last_value, high ? (0x5C00 | offset) : 0xA55C);
+      EXPECT_EQ(bus.fault(), BusFault::kNone);
+    }
+
+    // The byte just past the block reaches no device at all.
+    int reads = 0;
+    int writes = 0;
+    for (const auto& other : devices) {
+      reads += other->reads;
+      writes += other->writes;
+    }
+    const uint16_t past = static_cast<uint16_t>(end);
+    bus.ReadByte(past, AccessKind::kRead);
+    EXPECT_EQ(bus.fault(), BusFault::kUnmapped);
+    bus.ClearFault();
+    bus.WriteByte(past, 0x5C, AccessKind::kWrite);
+    bus.ReadWord(past, AccessKind::kRead);
+    bus.WriteWord(past, 0x1234, AccessKind::kWrite);
+    bus.ClearFault();
+    for (const auto& other : devices) {
+      reads -= other->reads;
+      writes -= other->writes;
+    }
+    EXPECT_EQ(reads, 0) << "past " << HexWord(past);
+    EXPECT_EQ(writes, 0) << "past " << HexWord(past);
+  }
+}
+
+TEST(BusDeathTest, AttachDeviceRejectsOverlapAndOutOfSpaceRanges) {
+  RecordingDevice first(0x0100, 0x10);
+  RecordingDevice overlapping(0x010E, 0x4);
+  RecordingDevice outside(0x0FFE, 0x4);  // crosses the end of register space
+  EXPECT_DEATH(
+      {
+        Bus bus;
+        bus.AttachDevice(&first);
+        bus.AttachDevice(&overlapping);
+      },
+      "CHECK failed");
+  EXPECT_DEATH(
+      {
+        Bus bus;
+        bus.AttachDevice(&outside);
+      },
+      "CHECK failed");
 }
 
 

@@ -36,6 +36,13 @@
 
 namespace {
 
+using amulet::ParseInteger;
+
+// Upper bound for `fleet --devices`: per-device rows, completion bits and
+// checkpoint records are sized by the device count, so an unbounded value
+// could exhaust host memory before the first device runs.
+constexpr int kMaxFleetDevices = 1'000'000;
+
 const char kBuildHelp[] =
     "usage: amuletc [options] name=app.amc [name2=other.amc ...]\n"
     "\n"
@@ -62,7 +69,8 @@ const char kFleetHelp[] =
     "Simulates a fleet of identical devices in parallel (docs/fleet.md), or a\n"
     "staged OTA firmware-rollout campaign with --campaign (docs/ota.md).\n"
     "\n"
-    "  --devices N             number of simulated devices (default: 16)\n"
+    "  --devices N             number of simulated devices, at most 1000000\n"
+    "                          (default: 16)\n"
     "  --apps a,b,c            suite apps to install (default: the full suite)\n"
     "  --model none|fl|sw|mpu  isolation model (default: mpu)\n"
     "  --seed N                fleet seed; device i's stream is a splitmix64 mix\n"
@@ -235,8 +243,10 @@ bool ParseKeyHex(const std::string& hex, amulet::OtaKey* key) {
     }
   }
   for (int w = 0; w < 4; ++w) {
-    key->words[w] = static_cast<uint16_t>(
-        std::strtoul(hex.substr(static_cast<size_t>(w) * 4, 4).c_str(), nullptr, 16));
+    if (!ParseInteger(std::string_view(hex).substr(static_cast<size_t>(w) * 4, 4),
+                      &key->words[w], 16)) {
+      return false;
+    }
   }
   return true;
 }
@@ -325,10 +335,10 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &config.device_count) || config.device_count <= 0 ||
+          config.device_count > kMaxFleetDevices) {
         return BadValue("fleet", arg, value);
       }
-      config.device_count = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (arg == "--apps") {
       const char* value = next();
       if (value == nullptr) {
@@ -348,42 +358,42 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      config.fleet_seed = static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
+      if (!ParseInteger(value, &config.fleet_seed, 0)) {
+        return BadValue("fleet", arg, value);
+      }
     } else if (arg == "--duration") {
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      int seconds = 0;
+      if (!ParseInteger(value, &seconds) || seconds <= 0) {
         return BadValue("fleet", arg, value);
       }
-      config.sim_ms = static_cast<uint64_t>(std::strtol(value, nullptr, 10)) * 1000;
+      config.sim_ms = static_cast<uint64_t>(seconds) * 1000;
     } else if (arg == "--jobs") {
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &config.jobs) || config.jobs <= 0) {
         return BadValue("fleet", arg, value);
       }
-      config.jobs = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (arg == "--shard") {
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      char* end = nullptr;
-      const long index = std::strtol(value, &end, 10);
-      if (end == value || *end != '/') {
+      const char* slash = std::strchr(value, '/');
+      int index = 0;
+      int count = 0;
+      if (slash == nullptr ||
+          !ParseInteger(std::string_view(value, static_cast<size_t>(slash - value)), &index) ||
+          !ParseInteger(slash + 1, &count) || index < 0 || count < 1 || index >= count) {
         return BadValue("fleet", arg, value);
       }
-      const char* count_str = end + 1;
-      const long count = std::strtol(count_str, &end, 10);
-      if (end == count_str || *end != '\0' || index < 0 || count < 1 || index >= count) {
-        return BadValue("fleet", arg, value);
-      }
-      config.shard_index = static_cast<int>(index);
-      config.shard_count = static_cast<int>(count);
+      config.shard_index = index;
+      config.shard_count = count;
     } else if (arg == "--profile") {
       const char* value = next();
       if (value == nullptr) {
@@ -473,10 +483,10 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &config.checkpoint_every_devices) ||
+          config.checkpoint_every_devices <= 0) {
         return BadValue("fleet", arg, value);
       }
-      config.checkpoint_every_devices = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--verbose") {
@@ -496,14 +506,18 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      campaign.from_version = static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
+      if (!ParseInteger(value, &campaign.from_version, 0)) {
+        return BadValue("fleet", arg, value);
+      }
     } else if (arg == "--to-version") {
       campaign_flag();
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      campaign.to_version = static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
+      if (!ParseInteger(value, &campaign.to_version, 0)) {
+        return BadValue("fleet", arg, value);
+      }
     } else if (arg == "--stages") {
       campaign_flag();
       const char* value = next();
@@ -512,12 +526,10 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       }
       campaign.stages.clear();
       for (const std::string& part : SplitCommas(value)) {
-        const long percent = std::strtol(part.c_str(), nullptr, 10);
-        if (percent <= 0 || percent > 100) {
+        amulet::CampaignStage stage;
+        if (!ParseInteger(part, &stage.percent) || stage.percent <= 0 || stage.percent > 100) {
           return BadValue("fleet", arg, value);
         }
-        amulet::CampaignStage stage;
-        stage.percent = static_cast<int>(percent);
         campaign.stages.push_back(stage);
       }
       if (campaign.stages.empty()) {
@@ -540,27 +552,27 @@ int RunFleetCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &campaign.health_ms) || campaign.health_ms == 0) {
         return BadValue("fleet", arg, value);
       }
-      campaign.health_ms = static_cast<uint64_t>(std::strtol(value, nullptr, 10));
     } else if (arg == "--storm") {
       campaign_flag();
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &campaign.storm_threshold) || campaign.storm_threshold <= 0) {
         return BadValue("fleet", arg, value);
       }
-      campaign.storm_threshold = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (arg == "--rollout-seed") {
       campaign_flag();
       const char* value = next();
       if (value == nullptr) {
         return MissingValue("fleet", arg);
       }
-      campaign.rollout_seed = static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
+      if (!ParseInteger(value, &campaign.rollout_seed, 0)) {
+        return BadValue("fleet", arg, value);
+      }
     } else if (arg == "--key") {
       campaign_flag();
       const char* value = next();
@@ -826,7 +838,7 @@ int RunOtaPackCommand(const char* argv0, int argc, char** argv) {
   std::string out_path;
   uint32_t fw_version = 2;
   amulet::OtaKey key;
-  long tamper_bit = -1;
+  int64_t tamper_bit = -1;
   std::vector<std::string> suite_names;
   std::vector<amulet::AppSource> apps;
   for (int i = 0; i < argc; ++i) {
@@ -860,7 +872,9 @@ int RunOtaPackCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("ota-pack", arg);
       }
-      fw_version = static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
+      if (!ParseInteger(value, &fw_version, 0)) {
+        return BadValue("ota-pack", arg, value);
+      }
     } else if (arg == "--key") {
       const char* value = next();
       if (value == nullptr) {
@@ -874,8 +888,7 @@ int RunOtaPackCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("ota-pack", arg);
       }
-      tamper_bit = std::strtol(value, nullptr, 10);
-      if (tamper_bit < 0) {
+      if (!ParseInteger(value, &tamper_bit) || tamper_bit < 0) {
         return BadValue("ota-pack", arg, value);
       }
     } else if (arg.rfind("--", 0) == 0) {
@@ -950,7 +963,7 @@ int RunOtaPackCommand(const char* argv0, int argc, char** argv) {
 // checker — no external tooling needed to prove the file is well-formed.
 int RunTraceCommand(const char* argv0, int argc, char** argv) {
   amulet::AftOptions options;
-  long seconds = 2;
+  int seconds = 2;
   std::string out_path = "amulet.trace.json";
   bool validate = false;
   std::vector<amulet::AppSource> apps;
@@ -973,10 +986,9 @@ int RunTraceCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("trace", arg);
       }
-      if (std::strtol(value, nullptr, 10) <= 0) {
+      if (!ParseInteger(value, &seconds) || seconds <= 0) {
         return BadValue("trace", arg, value);
       }
-      seconds = std::strtol(value, nullptr, 10);
     } else if (arg == "--out") {
       const char* value = next();
       if (value == nullptr) {
@@ -1067,7 +1079,7 @@ int RunFaultsCommand(const char* argv0, int argc, char** argv) {
   (void)argv0;
   std::string checkpoint_path;
   std::string jsonl_path;
-  long top = 10;
+  int top = 10;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return ++i < argc ? argv[i] : nullptr; };
@@ -1079,8 +1091,7 @@ int RunFaultsCommand(const char* argv0, int argc, char** argv) {
       if (value == nullptr) {
         return MissingValue("faults", arg);
       }
-      top = std::strtol(value, nullptr, 10);
-      if (top <= 0) {
+      if (!ParseInteger(value, &top) || top <= 0) {
         return BadValue("faults", arg, value);
       }
     } else if (arg == "--jsonl") {
@@ -1185,7 +1196,7 @@ int main(int argc, char** argv) {
   bool want_dump_ir = false;
   std::string hex_path;
   bool walk = false;
-  long run_seconds = -1;
+  int run_seconds = -1;
   std::vector<amulet::AppSource> apps;
 
   for (int i = 1; i < argc; ++i) {
@@ -1222,8 +1233,7 @@ int main(int argc, char** argv) {
       if (++i >= argc) {
         return MissingValue("build", arg);
       }
-      run_seconds = std::strtol(argv[i], nullptr, 10);
-      if (run_seconds <= 0) {
+      if (!ParseInteger(argv[i], &run_seconds) || run_seconds <= 0) {
         return BadValue("build", arg, argv[i]);
       }
     } else if (arg.rfind("--", 0) == 0) {
