@@ -7,7 +7,8 @@
 // correctness and timing.
 //
 // Also quantifies what machine snapshots buy: time-to-first-event for a
-// device booted from the template snapshot vs a full firmware boot.
+// device cloned by the fleet engine from its cohort's template snapshot vs a
+// full firmware boot.
 //
 // The checkpoint section measures the wall-clock cost of periodic fleet
 // checkpointing, then simulates a kill after half the fleet and verifies the
@@ -25,6 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "src/fleet/checkpoint.h"
+#include "src/fleet/device.h"
 #include "src/fleet/executor.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/merge.h"
@@ -54,48 +56,46 @@ int Run() {
   BenchJson json("fleet");
   json.Scalar("device_count", static_cast<double>(BenchConfig(1).device_count));
 
-  // Snapshot amortization: full boot vs snapshot restore for one device.
+  // Snapshot amortization: full boot vs snapshot clone for one device. The
+  // clone is the engine's (BootCohort, then CohortRuntime::Clone), so it
+  // costs what every fleet and campaign device pays.
   {
-    AftOptions aft;
-    aft.model = MemoryModel::kMpu;
-    std::vector<AppSource> sources;
-    for (const AppSpec& app : AmuletAppSuite()) {
-      sources.push_back({app.name, app.source});
-    }
-    auto fw = BuildFirmware(sources, aft);
-    if (!fw.ok()) {
-      std::fprintf(stderr, "BuildFirmware failed: %s\n", fw.status().ToString().c_str());
+    const FleetConfig config = BenchConfig(1);
+    Cohort cohort;  // no apps listed: the nine-app suite
+    cohort.model = config.model;
+    auto booted = fleet_internal::BootCohort(cohort, config);
+    if (!booted.ok()) {
+      std::fprintf(stderr, "BootCohort failed: %s\n", booted.status().ToString().c_str());
       return 1;
     }
+    const fleet_internal::CohortRuntime& runtime = **booted;
     const auto boot_t0 = std::chrono::steady_clock::now();
-    Machine template_machine;
-    AmuletOs template_os(&template_machine, *fw, OsOptions{});
-    if (!template_os.Boot().ok()) {
-      std::fprintf(stderr, "template boot failed\n");
+    Machine machine;
+    AmuletOs os(&machine, runtime.os->shared_firmware(), OsOptions{});
+    if (!os.Boot().ok()) {
+      std::fprintf(stderr, "full boot failed\n");
       return 1;
     }
     const double full_boot_s = SecondsSince(boot_t0);
-    const MachineSnapshot snapshot = CaptureSnapshot(template_machine);
 
     const int kClones = 100;
     const auto clone_t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kClones; ++i) {
-      Machine machine;
-      AmuletOs os(&machine, *fw, OsOptions{});
-      if (!os.BootFromSnapshot(snapshot, template_os).ok()) {
-        std::fprintf(stderr, "clone %d failed\n", i);
+      auto device = runtime.Clone(fleet_internal::DeviceSeed(config.fleet_seed, i), config);
+      if (!device.ok()) {
+        std::fprintf(stderr, "clone %d failed: %s\n", i, device.status().ToString().c_str());
         return 1;
       }
     }
     const double clone_s = SecondsSince(clone_t0) / kClones;
     std::printf("boot amortization (nine-app firmware, %zu-byte snapshot):\n",
-                snapshot.bytes.size());
+                runtime.snapshot.bytes.size());
     std::printf("  full boot (image load + 9x on_init): %9.3f ms\n", full_boot_s * 1e3);
     std::printf("  snapshot clone:                      %9.3f ms  (%.0fx faster)\n\n",
                 clone_s * 1e3, clone_s > 0 ? full_boot_s / clone_s : 0.0);
     json.Scalar("full_boot_ms", full_boot_s * 1e3);
     json.Scalar("snapshot_clone_ms", clone_s * 1e3);
-    json.Scalar("snapshot_bytes", static_cast<double>(snapshot.bytes.size()));
+    json.Scalar("snapshot_bytes", static_cast<double>(runtime.snapshot.bytes.size()));
   }
 
   // Setup (firmware build + amortization probe) ends here; wall_seconds in

@@ -242,7 +242,7 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   std::vector<uint8_t> deploy_bytes;
   if (config.image_override.empty()) {
     deploy_bytes = EncodeOtaImage(
-        PackOtaImage(to->firmware.image, config.to_version, config.fleet.model, config.key));
+        PackOtaImage(to->firmware().image, config.to_version, config.fleet.model, config.key));
   } else {
     deploy_bytes = config.image_override;
   }

@@ -90,9 +90,9 @@ DataRegions DataRegions::For(const Firmware& firmware) {
   return regions;
 }
 
-ClonedDevice::ClonedDevice(const Firmware& firmware, int fram_wait_states,
+ClonedDevice::ClonedDevice(std::shared_ptr<const Firmware> firmware, int fram_wait_states,
                            uint32_t device_seed)
-    : os_(&machine_, firmware, [&] {
+    : os_(&machine_, std::move(firmware), [&] {
         OsOptions options;
         options.fram_wait_states = fram_wait_states;
         options.fault_policy = FaultPolicy::kRestartApp;
@@ -107,8 +107,12 @@ Result<std::unique_ptr<ClonedDevice>> ClonedDevice::Clone(uint32_t device_seed,
                                                           const AmuletOs& booted,
                                                           bool predecode,
                                                           bool flight_recorder) {
+  if (firmware.apps.size() != static_cast<size_t>(booted.app_count())) {
+    return InvalidArgumentError(StrFormat("firmware has %zu app(s) but template has %d",
+                                          firmware.apps.size(), booted.app_count()));
+  }
   std::unique_ptr<ClonedDevice> device(
-      new ClonedDevice(firmware, fram_wait_states, device_seed));
+      new ClonedDevice(booted.shared_firmware(), fram_wait_states, device_seed));
   device->machine_.cpu().set_predecode(predecode);
   RETURN_IF_ERROR(device->os_.BootFromSnapshot(snapshot, booted));
   if (flight_recorder) {
@@ -180,7 +184,7 @@ Status ClonedDevice::Run(uint64_t sim_ms, const DataRegions& regions, DeviceStat
 
 Result<std::unique_ptr<ClonedDevice>> CohortRuntime::Clone(uint32_t device_seed,
                                                            const FleetConfig& config) const {
-  return ClonedDevice::Clone(device_seed, config.fram_wait_states, firmware, snapshot, *os,
+  return ClonedDevice::Clone(device_seed, config.fram_wait_states, firmware(), snapshot, *os,
                              config.predecode, config.flight_recorder);
 }
 
@@ -192,8 +196,7 @@ Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
   AftOptions aft;
   aft.model = cohort.model;
   aft.optimize_checks = config.check_opt;
-  ASSIGN_OR_RETURN(runtime->firmware, BuildFirmware(sources, aft));
-  runtime->regions = DataRegions::For(runtime->firmware);
+  ASSIGN_OR_RETURN(Firmware firmware, BuildFirmware(sources, aft));
 
   runtime->machine = std::make_unique<Machine>();
   runtime->machine->cpu().set_predecode(config.predecode);
@@ -201,11 +204,12 @@ Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
   template_options.fram_wait_states = config.fram_wait_states;
   template_options.fault_policy = FaultPolicy::kRestartApp;
   template_options.sensor_seed = config.fleet_seed;
-  runtime->os =
-      std::make_unique<AmuletOs>(runtime->machine.get(), runtime->firmware, template_options);
+  runtime->os = std::make_unique<AmuletOs>(runtime->machine.get(), std::move(firmware),
+                                           template_options);
+  runtime->regions = DataRegions::For(runtime->firmware());
   RETURN_IF_ERROR(runtime->os->Boot());
   runtime->snapshot = CaptureSnapshot(*runtime->machine);
-  runtime->firmware_hash = FirmwareImageHash(runtime->firmware.image);
+  runtime->firmware_hash = FirmwareImageHash(runtime->firmware().image);
   return runtime;
 }
 

@@ -77,6 +77,10 @@ struct DataRegions {
 // runs.
 class ClonedDevice {
  public:
+  // The clone shares `booted`'s firmware (one immutable instance per
+  // cohort) and region map, and copies only the snapshot's memory image and
+  // the template's host-side OS state. `firmware` must have `booted`'s app
+  // count; it is checked, not copied.
   // `predecode` selects the CPU execution path (fast cache vs reference
   // interpreter); counters and digests are bit-identical either way.
   // `flight_recorder` attaches the device's flight recorder so fault records
@@ -105,7 +109,8 @@ class ClonedDevice {
              FaultLedger* ledger = nullptr);
 
  private:
-  ClonedDevice(const Firmware& firmware, int fram_wait_states, uint32_t device_seed);
+  ClonedDevice(std::shared_ptr<const Firmware> firmware, int fram_wait_states,
+               uint32_t device_seed);
 
   Machine machine_;
   AmuletOs os_;
@@ -119,12 +124,14 @@ class ClonedDevice {
 // and one for the new firmware.
 struct CohortRuntime {
   Cohort cohort;  // apps resolved
-  Firmware firmware;
   DataRegions regions;
   std::unique_ptr<Machine> machine;
   std::unique_ptr<AmuletOs> os;
   MachineSnapshot snapshot;
   uint64_t firmware_hash = 0;
+
+  // The cohort's firmware build: the template OS's, shared by every clone.
+  const Firmware& firmware() const { return os->firmware(); }
 
   // A device cloned from this cohort's template with `config`'s wait
   // states, core and flight-recorder settings.

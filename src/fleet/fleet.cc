@@ -200,7 +200,7 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     uint64_t checks_total = 0;
     uint64_t checks_elided = 0;
     for (const std::unique_ptr<CohortRuntime>& cohort : cohorts) {
-      for (const AppImage& app : cohort->firmware.apps) {
+      for (const AppImage& app : cohort->firmware().apps) {
         checks_total += static_cast<uint64_t>(app.checks.check_insts);
         checks_elided += static_cast<uint64_t>(app.checks.elided_data_checks) +
                          static_cast<uint64_t>(app.checks.elided_code_checks) +

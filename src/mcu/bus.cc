@@ -1,5 +1,7 @@
 #include "src/mcu/bus.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/mcu/code_cache.h"
@@ -34,9 +36,21 @@ void Bus::AttachDevice(BusDevice* device) {
 void Bus::SetCountedRegions(const std::vector<std::pair<uint16_t, uint16_t>>& spans) {
   counted_.fill(0);
   for (const auto& [lo, hi] : spans) {
-    for (uint32_t a = lo; a < hi; ++a) {
-      counted_[a >> 6] |= uint64_t{1} << (a & 63);
+    if (lo >= hi) {
+      continue;
     }
+    // Whole 64-bit words in the middle; only the two edge words are masked.
+    const size_t first = lo >> 6;
+    const size_t last = static_cast<size_t>(hi - 1) >> 6;
+    const uint64_t head = ~uint64_t{0} << (lo & 63);               // bits lo%64..63
+    const uint64_t tail = ~uint64_t{0} >> (63 - ((hi - 1) & 63));  // bits 0..(hi-1)%64
+    if (first == last) {
+      counted_[first] |= head & tail;
+      continue;
+    }
+    counted_[first] |= head;
+    std::fill(counted_.begin() + first + 1, counted_.begin() + last, ~uint64_t{0});
+    counted_[last] |= tail;
   }
 }
 

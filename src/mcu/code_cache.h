@@ -1,16 +1,24 @@
 // Predecoded-instruction cache for the fast simulator core.
 //
-// One direct-mapped entry per 16-bit word address (32768 slots covering the
-// whole address space), each holding the dense PredecodedInsn record and the
-// FRAM word count its fetch replay needs. Fetch permission is not cached: the
-// MPU is reprogrammed on every app/OS switch, so StepFast() checks it per
-// step. Entries are validated lazily by Cpu::StepFast() and killed by the
-// bus whenever backing memory changes: architectural writes (self-modifying
-// code, OTA bank writes), host-side pokes, image loads, and snapshot restore.
+// A 32768-slot index (one uint16_t per 16-bit word address, 64 KB) points
+// into a dense vector of entries, each holding the PredecodedInsn record and
+// the FRAM word count its fetch replay needs. The dense vector grows only
+// when an address is predecoded for the first time, and an address keeps its
+// entry across invalidations, so memory is bounded by the number of distinct
+// addresses a device ever executes (at most 32768 entries; ~550-930 for the
+// fleet's firmware) however often its code is rewritten. Index 0 is a
+// sentinel entry that is never valid: a lookup is one index load plus one
+// entry load, with no branch for never-executed addresses.
+//
+// Fetch permission is not cached: the MPU is reprogrammed on every app/OS
+// switch, so StepFast() checks it per step. Entries are validated lazily by
+// Cpu::StepFast() and killed by the bus whenever backing memory changes:
+// architectural writes (self-modifying code, OTA bank writes), host-side
+// pokes, image loads, and snapshot restore.
 //
 // The cache is derived state. It is deliberately excluded from snapshot
-// serialization (src/mcu/snapshot.h) so fleet cloning stays O(memcpy);
-// Bus::LoadState() invalidates it wholesale instead.
+// serialization (src/mcu/snapshot.h): a cloned device starts with an empty
+// cache and Bus::LoadState() invalidates it wholesale.
 #ifndef SRC_MCU_CODE_CACHE_H_
 #define SRC_MCU_CODE_CACHE_H_
 
@@ -26,7 +34,7 @@ class CodeCache {
  public:
   struct Entry {
     // Entry is live iff `gen` equals the cache's current generation.
-    // InvalidateAll() bumps the generation instead of touching 32768 slots.
+    // InvalidateAll() bumps the generation instead of touching every entry.
     uint32_t gen = 0;
     // True when any word of the instruction lies outside plain backed
     // memory (peripheral space, holes): fetches there have side effects or
@@ -50,11 +58,27 @@ class CodeCache {
     uint64_t full_invalidations = 0;  // InvalidateAll() calls
   };
 
-  CodeCache() : entries_(kEntries) {}
+  // `generation` is the first live generation (never 0, the sentinel's);
+  // starting near 2^32 lets a test reach the wraparound.
+  explicit CodeCache(uint32_t generation = 1)
+      : index_(kSlots, 0), entries_(1), generation_(generation) {}
 
-  // Returns the entry slot for `addr` (word-aligned internally). The caller
-  // checks IsValid() and fills the slot on a miss.
-  Entry* Slot(uint16_t addr) { return &entries_[(addr & kWordMask) >> 1]; }
+  // The entry for `addr` (word-aligned internally), or the never-valid
+  // sentinel when the address was never predecoded. The caller checks
+  // IsValid() and fills the address through Claim() on a miss.
+  const Entry& Find(uint16_t addr) const { return entries_[index_[(addr & kWordMask) >> 1]]; }
+
+  // The entry to (re)fill for `addr`: its existing entry, or a new one
+  // appended to the dense vector. The pointer is good until the next Claim()
+  // of a never-seen address, which may reallocate the vector.
+  Entry* Claim(uint16_t addr) {
+    uint16_t& slot = index_[(addr & kWordMask) >> 1];
+    if (slot == 0) {
+      slot = static_cast<uint16_t>(entries_.size());
+      entries_.emplace_back();
+    }
+    return &entries_[slot];
+  }
 
   bool IsValid(const Entry& entry) const { return entry.gen == generation_; }
   void MarkValid(Entry* entry) { entry->gen = generation_; }
@@ -62,11 +86,13 @@ class CodeCache {
   // Kills any entry whose instruction could span the word at `addr`:
   // instructions are at most three words long, so the starting addresses
   // addr, addr-2 and addr-4 cover every possibility (with uint16 wrap).
+  // An address without an entry resolves to the sentinel, whose gen is
+  // already 0.
   void InvalidateWord(uint16_t addr) {
     const uint16_t a = addr & kWordMask;
-    entries_[a >> 1].gen = 0;
-    entries_[static_cast<uint16_t>(a - 2) >> 1].gen = 0;
-    entries_[static_cast<uint16_t>(a - 4) >> 1].gen = 0;
+    entries_[index_[a >> 1]].gen = 0;
+    entries_[index_[static_cast<uint16_t>(a - 2) >> 1]].gen = 0;
+    entries_[index_[static_cast<uint16_t>(a - 4) >> 1]].gen = 0;
     ++stats_.invalidations;
   }
 
@@ -82,6 +108,9 @@ class CodeCache {
     ++stats_.full_invalidations;
   }
 
+  // Distinct addresses predecoded so far (the sentinel excluded).
+  size_t size() const { return entries_.size() - 1; }
+
   const Stats& stats() const { return stats_; }
   void CountHit() { ++stats_.hits; }
   void CountMiss() { ++stats_.misses; }
@@ -89,10 +118,13 @@ class CodeCache {
 
  private:
   static constexpr uint16_t kWordMask = 0xFFFE;
-  static constexpr size_t kEntries = 0x10000 / 2;
+  static constexpr size_t kSlots = 0x10000 / 2;
 
+  // Per word address: index into entries_, 0 (the sentinel) when the
+  // address was never predecoded. 32768 slots plus the sentinel fit uint16_t.
+  std::vector<uint16_t> index_;
   std::vector<Entry> entries_;
-  uint32_t generation_ = 1;
+  uint32_t generation_;
   Stats stats_;
 };
 

@@ -719,16 +719,17 @@ void Cpu::FastJump(const PredecodedInsn& pd, uint16_t insn_addr) {
   ExecuteJump(pd.insn, insn_addr);
 }
 
-bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
+const CodeCache::Entry* Cpu::FillEntry(uint16_t addr) {
   // Only plain backed memory is cacheable: reading it has no side effects,
   // raises no fault, and the bus invalidates us when it changes. Anything
   // else (device registers, unmapped holes) takes the interpreter, uncached,
   // so its fault/side-effect behavior stays exactly the baseline's.
   if (!Bus::IsPlainMemory(addr)) {
-    return false;
+    return nullptr;
   }
   const uint16_t words[3] = {bus_->PeekWord(addr), bus_->PeekWord(static_cast<uint16_t>(addr + 2)),
                              bus_->PeekWord(static_cast<uint16_t>(addr + 4))};
+  CodeCache::Entry* entry = cache_.Claim(addr);
   PredecodeInto(addr, words, &entry->pd);
   entry->slow_only = false;
   entry->fram_words = IsAnyFram(addr) ? 1 : 0;
@@ -745,14 +746,18 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
     }
   }
   cache_.MarkValid(entry);
-  return true;
+  return entry;
 }
 
 StepResult Cpu::StepFast(uint16_t insn_addr) {
-  CodeCache::Entry* entry = cache_.Slot(insn_addr);
+  // `entry` is used until the end of the step. Only FillEntry() can grow the
+  // cache (and move its entries), and no instruction handler re-enters
+  // Step(), so the pointer stays good.
+  const CodeCache::Entry* entry = &cache_.Find(insn_addr);
   if (!cache_.IsValid(*entry)) {
     cache_.CountMiss();
-    if (!FillEntry(insn_addr, entry)) {
+    entry = FillEntry(insn_addr);
+    if (entry == nullptr) {
       cache_.CountSlowPath();
       return StepSlow(insn_addr);
     }

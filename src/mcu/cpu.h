@@ -104,6 +104,7 @@ class Cpu {
   uint64_t instruction_count() const { return instructions_; }
   // Predecode-cache effectiveness counters (host-side; never digested).
   const CodeCache::Stats& code_cache_stats() const { return cache_.stats(); }
+  const CodeCache& code_cache() const { return cache_; }
   HaltReason halt_reason() const { return halt_reason_; }
   uint16_t halt_pc() const { return halt_pc_; }
 
@@ -132,9 +133,10 @@ class Cpu {
   // Cache-driven body; defers to StepSlow() for anything it cannot replay
   // bit-identically (device-space fetches, MPU-refused fetches).
   StepResult StepFast(uint16_t insn_addr);
-  // Predecodes the instruction at `addr` into `entry`. Returns false (entry
-  // left invalid) when the first word is not plain cacheable memory.
-  bool FillEntry(uint16_t addr, CodeCache::Entry* entry);
+  // Predecodes the instruction at `addr` into its cache entry and returns
+  // it, or returns nullptr (nothing cached) when the first word is not plain
+  // cacheable memory.
+  const CodeCache::Entry* FillEntry(uint16_t addr);
 
   // Fast dispatch handlers, indexed by PredecodedInsn::handler through
   // kFastDispatch (one dense slot per opcode; same-format opcodes share an

@@ -94,11 +94,14 @@ std::string RenderFaultForensics(const FaultRecord& record, const Bus& bus) {
 }
 
 AmuletOs::AmuletOs(Machine* machine, Firmware firmware, OsOptions options)
+    : AmuletOs(machine, std::make_shared<const Firmware>(std::move(firmware)), options) {}
+
+AmuletOs::AmuletOs(Machine* machine, std::shared_ptr<const Firmware> firmware, OsOptions options)
     : machine_(machine),
       firmware_(std::move(firmware)),
       options_(options),
       sensors_(options.sensor_seed) {
-  const size_t n = firmware_.apps.size();
+  const size_t n = firmware_->apps.size();
   subs_.resize(n);
   stats_.resize(n);
   enabled_.assign(n, true);
@@ -111,15 +114,15 @@ Status AmuletOs::Boot() {
     trace_ = ExecutionTrace(static_cast<size_t>(options_.trace_depth));
     machine_->cpu().set_trace(&trace_);
   }
-  LoadImage(firmware_.image, &machine_->bus());
+  LoadImage(firmware_->image, &machine_->bus());
   // Fault attribution support. The map is immutable per firmware and shared
   // with every BootFromSnapshot() clone; the code-range list filters the
   // call-stack scan (app data/stack chunks are not plausible return sites).
-  region_map_ = std::make_shared<RegionMap>(BuildRegionMap(firmware_));
+  region_map_ = std::make_shared<RegionMap>(BuildRegionMap(*firmware_));
   code_ranges_.clear();
-  for (const auto& [base, bytes] : firmware_.image.chunks) {
+  for (const auto& [base, bytes] : firmware_->image.chunks) {
     bool is_app_data = false;
-    for (const AppImage& app : firmware_.apps) {
+    for (const AppImage& app : firmware_->apps) {
       if (base >= app.data_lo && base < app.data_hi) {
         is_app_data = true;
         break;
@@ -129,8 +132,8 @@ Status AmuletOs::Boot() {
       code_ranges_.emplace_back(base, static_cast<uint32_t>(base) + bytes.size());
     }
   }
-  machine_->bus().PokeWord(kResetVector, firmware_.idle_addr);
-  machine_->bus().PokeWord(kNmiVector, firmware_.nmi_handler);
+  machine_->bus().PokeWord(kResetVector, firmware_->idle_addr);
+  machine_->bus().PokeWord(kNmiVector, firmware_->nmi_handler);
   machine_->cpu().Reset();
   machine_->hostio().SetSyscallHandler(
       [this](const SyscallRequest& request) { return HandleSyscall(request); });
@@ -149,10 +152,10 @@ Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletO
   if (!booted.booted_) {
     return FailedPreconditionError("template OS has not completed Boot()");
   }
-  if (firmware_.apps.size() != booted.firmware_.apps.size()) {
+  if (firmware_->apps.size() != booted.firmware_->apps.size()) {
     return InvalidArgumentError(
-        StrFormat("firmware has %zu app(s) but template has %zu", firmware_.apps.size(),
-                  booted.firmware_.apps.size()));
+        StrFormat("firmware has %zu app(s) but template has %zu", firmware_->apps.size(),
+                  booted.firmware_->apps.size()));
   }
   RETURN_IF_ERROR(RestoreSnapshot(snapshot, machine_));
   machine_->bus().set_fram_wait_states(options_.fram_wait_states);
@@ -190,7 +193,7 @@ Result<AmuletOs::DispatchResult> AmuletOs::Deliver(int app_index, EventType type
   if (!enabled_[app_index]) {
     return result;
   }
-  const AppImage& app = firmware_.apps[app_index];
+  const AppImage& app = firmware_->apps[app_index];
   const uint16_t handler = app.handlers[static_cast<size_t>(type)];
   if (handler == 0) {
     return result;  // app does not handle this event
@@ -294,21 +297,21 @@ Status AmuletOs::HandleFault(int app_index, bool from_mpu, uint16_t code, uint16
   if (from_mpu) {
     record.description =
         StrFormat("app '%s': MPU violation (flags 0x%x) at %s",
-                  firmware_.apps[app_index].name.c_str(), code, HexWord(addr).c_str());
+                  firmware_->apps[app_index].name.c_str(), code, HexWord(addr).c_str());
   } else if (code == 1) {
     record.description = StrFormat("app '%s': array index %u out of bounds",
-                                   firmware_.apps[app_index].name.c_str(), addr);
+                                   firmware_->apps[app_index].name.c_str(), addr);
   } else if (code == 2) {
     record.description =
         StrFormat("app '%s': pointer check failed for address %s",
-                  firmware_.apps[app_index].name.c_str(), HexWord(addr).c_str());
+                  firmware_->apps[app_index].name.c_str(), HexWord(addr).c_str());
   } else if (code == 3) {
     record.description =
         StrFormat("app '%s': corrupted return address %s",
-                  firmware_.apps[app_index].name.c_str(), HexWord(addr).c_str());
+                  firmware_->apps[app_index].name.c_str(), HexWord(addr).c_str());
   } else {
     record.description = StrFormat("app '%s': runaway handler stopped at %s",
-                                   firmware_.apps[app_index].name.c_str(),
+                                   firmware_->apps[app_index].name.c_str(),
                                    HexWord(addr).c_str());
   }
   CaptureForensics(&record, /*pc_hint=*/0);
@@ -328,9 +331,9 @@ Status AmuletOs::HandleFault(int app_index, bool from_mpu, uint16_t code, uint16
 }
 
 void AmuletOs::ReloadAppData(int app_index) {
-  const AppImage& app = firmware_.apps[app_index];
+  const AppImage& app = firmware_->apps[app_index];
   // The app's globals chunk was linked at stack_top; restore its bytes.
-  for (const auto& [base, bytes] : firmware_.image.chunks) {
+  for (const auto& [base, bytes] : firmware_->image.chunks) {
     if (base >= app.stack_top && base < app.data_hi) {
       for (size_t i = 0; i < bytes.size(); ++i) {
         machine_->bus().PokeByte(static_cast<uint16_t>(base + i), bytes[i]);
@@ -354,7 +357,7 @@ Status AmuletOs::RestartApp(int app_index) {
 
 Status AmuletOs::RestartAppInner(int app_index) {
   ReloadAppData(app_index);
-  if (firmware_.shadow_return_stack) {
+  if (firmware_->shadow_return_stack) {
     // A fault mid-function leaves the shadow stack unbalanced; restart from
     // an empty shadow (its pointer lives at the start of InfoMem).
     machine_->bus().PokeWord(kInfoMemStart, kInfoMemStart + 2);
@@ -594,10 +597,10 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
 std::string AmuletOs::StatusReport() const {
   std::string out;
   out += StrFormat("AmuletOS [%s] t=%llums, %d app(s)\n",
-                   std::string(MemoryModelName(firmware_.model)).c_str(),
+                   std::string(MemoryModelName(firmware_->model)).c_str(),
                    static_cast<unsigned long long>(now_ms_), app_count());
   for (int i = 0; i < app_count(); ++i) {
-    const AppImage& app = firmware_.apps[i];
+    const AppImage& app = firmware_->apps[i];
     const AppStats& stat = stats_[i];
     out += StrFormat(
         "  %-14s %s code=[%s,%s) data=[%s,%s) stack=%dB%s | dispatches=%llu cycles=%llu "

@@ -108,6 +108,9 @@ struct LogEntry {
 class AmuletOs {
  public:
   AmuletOs(Machine* machine, Firmware firmware, OsOptions options);
+  // Runs over a firmware shared with other instances (a fleet cohort's
+  // template and every device cloned from it). The firmware is immutable.
+  AmuletOs(Machine* machine, std::shared_ptr<const Firmware> firmware, OsOptions options);
 
   // Loads the firmware image, installs vectors and the syscall handler, and
   // delivers on_init to every app.
@@ -117,7 +120,8 @@ class AmuletOs {
   // `booted`'s machine after Boot() completed) into this OS's machine and
   // copies `booted`'s host-side state (subscriptions, stats, displays, RNG
   // and sensor state), skipping the image load and every on_init dispatch.
-  // Both instances must have been constructed from the same firmware. The
+  // Both instances must have been constructed from the same firmware (the
+  // fleet shares one instance; see shared_firmware()). The
   // clone is indistinguishable from a fresh Boot() on this machine; callers
   // that want a distinct device identity reseed sensors() afterwards.
   Status BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletOs& booted);
@@ -141,14 +145,15 @@ class AmuletOs {
   Status PressButton(int button_id);
 
   // State inspection.
-  const Firmware& firmware() const { return firmware_; }
+  const Firmware& firmware() const { return *firmware_; }
+  const std::shared_ptr<const Firmware>& shared_firmware() const { return firmware_; }
   Machine& machine() { return *machine_; }
   SensorSuite& sensors() { return sensors_; }
   uint64_t now_ms() const { return now_ms_; }
   const std::vector<FaultRecord>& faults() const { return faults_; }
   const std::vector<LogEntry>& log() const { return log_; }
   const AppStats& stats(int app_index) const { return stats_[app_index]; }
-  int app_count() const { return static_cast<int>(firmware_.apps.size()); }
+  int app_count() const { return static_cast<int>(firmware_->apps.size()); }
   bool app_enabled(int app_index) const { return enabled_[app_index]; }
   // Display: per app, position -> value (what amulet_display_digits wrote).
   const std::map<int, int16_t>& display(int app_index) const { return displays_[app_index]; }
@@ -202,7 +207,7 @@ class AmuletOs {
   };
 
   Machine* machine_;
-  Firmware firmware_;
+  std::shared_ptr<const Firmware> firmware_;  // never null
   OsOptions options_;
   SensorSuite sensors_;
   EventTracer* tracer_ = nullptr;

@@ -12,6 +12,7 @@
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
 #include "src/fleet/checkpoint.h"
+#include "src/fleet/device.h"
 #include "src/fleet/executor.h"
 #include "src/fleet/fleet.h"
 #include "src/mcu/machine.h"
@@ -215,6 +216,79 @@ TEST(FleetTest, DeterministicAcrossThreadCounts) {
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_EQ(FleetDigest(*parallel), serial_digest) << "jobs=" << jobs;
   }
+}
+
+// A cohort booted the way fleets and campaigns boot theirs.
+std::unique_ptr<fleet_internal::CohortRuntime> MustBootCohort(const FleetConfig& config) {
+  Cohort cohort;
+  cohort.model = config.model;
+  cohort.apps = config.apps;
+  auto runtime = fleet_internal::BootCohort(cohort, config);
+  EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
+  return runtime.ok() ? std::move(*runtime) : nullptr;
+}
+
+TEST(FleetTest, ClonesShareTheTemplateFirmware) {
+  const FleetConfig config = SmallFleet(1);
+  const auto runtime = MustBootCohort(config);
+  ASSERT_NE(runtime, nullptr);
+  for (int id : {0, 1}) {
+    auto device = runtime->Clone(fleet_internal::DeviceSeed(config.fleet_seed, id), config);
+    ASSERT_TRUE(device.ok()) << device.status().ToString();
+    EXPECT_EQ(&(*device)->os().firmware(), &runtime->os->firmware()) << "device " << id;
+  }
+}
+
+TEST(FleetTest, CloneRejectsFirmwareOfAnotherAppCount) {
+  const FleetConfig config = SmallFleet(1);
+  const auto runtime = MustBootCohort(config);
+  ASSERT_NE(runtime, nullptr);
+  const Firmware other = MustBuild(MemoryModel::kMpu);  // one app, not two
+  auto device = fleet_internal::ClonedDevice::Clone(1, config.fram_wait_states, other,
+                                                    runtime->snapshot, *runtime->os);
+  EXPECT_EQ(device.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Clones of one cohort share its firmware across threads: 64 devices cloned
+// and run on four executor threads must give exactly the serial rows. The
+// crasher app makes every device take the fault and restart paths, which
+// read the shared firmware.
+TEST(FleetTest, ParallelClonesOfOneCohortMatchSerialRun) {
+  FleetConfig config = SmallFleet(4);
+  config.apps = {"pedometer", "clock", "crasher"};
+  const auto runtime = MustBootCohort(config);
+  ASSERT_NE(runtime, nullptr);
+  constexpr size_t kDevices = 64;
+  auto run_all = [&](int threads) {
+    std::vector<DeviceStats> rows(kDevices);
+    std::vector<Status> status(kDevices);
+    Executor(threads).ParallelFor(kDevices, [&](size_t i) {
+      const int id = static_cast<int>(i);
+      auto device = runtime->Clone(fleet_internal::DeviceSeed(config.fleet_seed, id), config);
+      if (!device.ok()) {
+        status[i] = device.status();
+        return;
+      }
+      rows[i].device_id = id;
+      FaultLedger ledger;
+      status[i] = (*device)->Run(config.sim_ms, runtime->regions, &rows[i], &ledger);
+    });
+    for (size_t i = 0; i < kDevices; ++i) {
+      EXPECT_TRUE(status[i].ok()) << "device " << i << ": " << status[i].ToString();
+    }
+    return rows;
+  };
+  const std::vector<DeviceStats> serial = run_all(1);
+  const std::vector<DeviceStats> parallel = run_all(4);
+  uint64_t faults = 0;
+  for (size_t i = 0; i < kDevices; ++i) {
+    EXPECT_EQ(parallel[i].device_id, serial[i].device_id);
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      EXPECT_EQ(parallel[i].*c.stat, serial[i].*c.stat) << "device " << i << " " << c.name;
+    }
+    faults += serial[i].faults;
+  }
+  EXPECT_GE(faults, kDevices);
 }
 
 TEST(FleetTest, SeedChangesResults) {

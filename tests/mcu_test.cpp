@@ -892,6 +892,28 @@ TEST(CountedRegionTest, NoSpansCountNothing) {
   }
 }
 
+TEST(CountedRegionTest, SpanEdgesInsideBitmapWordsCountExactly) {
+  // The bitmap keeps 64 byte addresses per word. One span starts and ends
+  // mid-word and covers several words, one lies inside a single word, and
+  // one starts and ends on word boundaries.
+  const Spans spans = {{0x7013, 0x70E5}, {0x7205, 0x7209}, {0x7400, 0x7480}};
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    for (const auto& [lo, hi] : spans) {
+      const std::pair<int, uint64_t> probes[] = {
+          {lo - 1, 0}, {lo, 1}, {(lo + hi) / 2, 1}, {hi - 1, 1}, {hi, 0}};
+      for (const auto& [addr, expected] : probes) {
+        SCOPED_TRACE(HexWord(static_cast<uint16_t>(addr)));
+        const CountedRun run = RunCounted(
+            spans, StrFormat("start:\n  mov.b &0x%04x, r4\n", addr) + std::string(kStop),
+            predecode);
+        EXPECT_EQ(run.outcome.result, StepResult::kStopped);
+        EXPECT_EQ(run.counted, expected);
+      }
+    }
+  }
+}
+
 // A register block that records which word offsets the bus hands it.
 class RecordingDevice : public BusDevice {
  public:

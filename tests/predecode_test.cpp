@@ -3,12 +3,15 @@
 // changes under the cache — self-modifying firmware, host-side pokes,
 // snapshot restores, and MPU reconfiguration — and a fleet run must produce
 // the exact same digest in either mode (docs/simulator.md, "Predecoded
-// instruction cache").
+// instruction cache"). The CodeCacheTest cases drive the cache's own
+// bookkeeping: which entries a write kills, entry reuse, generation wrap.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/common/strings.h"
 #include "src/fleet/fleet.h"
+#include "src/mcu/code_cache.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "tests/sim_test_util.h"
@@ -101,6 +104,31 @@ TEST(PredecodeTest, SelfModifyingFramExtWordMatchesInterpreter) {
   EXPECT_EQ(dual.fast.cpu().reg(Reg::kR5), 99);
 }
 
+// A loop that rewrites one of its own code words 10,000 times re-predecodes
+// that address on every pass, into the address's one entry: the cache holds
+// an entry per distinct executed address however often the code changes.
+TEST(PredecodeTest, SelfModifyingLoopDoesNotGrowTheCache) {
+  DualRun dual;
+  RunBoth(&dual,
+          "start:\n"
+          "  mov #10000, r5\n"
+          "  mov #patch, r10\n"
+          "loop:\n"
+          "  mov r5, 2(r10)\n"  // rewrite the immediate ext word of `patch`
+          "patch:\n"
+          "  mov #1000, r4\n"  // r4 = r5
+          "  add r4, r6\n"
+          "  dec r5\n"
+          "  jnz loop\n" +
+              std::string(kStop),
+          1'000'000);
+  EXPECT_EQ(dual.outcome.result, StepResult::kStopped);
+  EXPECT_EQ(dual.fast.cpu().reg(Reg::kR6), static_cast<uint16_t>(10000 * 10001 / 2));
+  const CodeCache& cache = dual.fast.cpu().code_cache();
+  EXPECT_GE(cache.stats().misses, 10000u);
+  EXPECT_EQ(cache.size(), 8u) << "one entry per instruction of the program";
+}
+
 // Host-side PokeWord into already-executed code must invalidate the cached
 // entry, exactly like tooling that patches a running machine.
 TEST(PredecodeTest, HostPokeInvalidatesCachedCode) {
@@ -182,6 +210,81 @@ TEST(PredecodeTest, MpuFetchViolationMatchesInterpreter) {
   EXPECT_EQ(dual.outcome.stop_code, 3);
   EXPECT_EQ(dual.fast.cpu().reg(Reg::kR10), 1);
   EXPECT_TRUE(dual.fast.mpu().violation_flags() != 0);
+}
+
+// The cache's own bookkeeping, driven directly: claim an address's entry and
+// mark it valid, as Cpu::FillEntry() does after predecoding it.
+void Fill(CodeCache* cache, uint16_t addr) { cache->MarkValid(cache->Claim(addr)); }
+
+TEST(CodeCacheTest, WriteKillsOnlyTheThreeEntriesThatCanSpanIt) {
+  CodeCache cache;
+  for (uint16_t a = 0x4400; a < 0x4420; a += 2) {
+    Fill(&cache, a);
+  }
+  cache.InvalidateWord(0x4411);  // a byte write: the word at 0x4410
+  for (uint16_t a = 0x4400; a < 0x4420; a += 2) {
+    const bool killed = a == 0x4410 || a == 0x440E || a == 0x440C;
+    EXPECT_EQ(cache.IsValid(cache.Find(a)), !killed) << HexWord(a);
+  }
+  // The three starts wrap around the bottom of the address space.
+  Fill(&cache, 0xFFFE);
+  Fill(&cache, 0x0000);
+  Fill(&cache, 0x0002);
+  cache.InvalidateWord(0x0002);
+  EXPECT_FALSE(cache.IsValid(cache.Find(0xFFFE)));
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x0000)));
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x0002)));
+  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_EQ(cache.size(), 19u);
+}
+
+TEST(CodeCacheTest, RefillAfterInvalidationReusesTheEntry) {
+  CodeCache cache;
+  // Never-predecoded addresses resolve to an entry that is never valid,
+  // also after invalidations touched them.
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x4400)));
+  cache.InvalidateWord(0x4400);
+  cache.InvalidateAll();
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x4400)));
+  EXPECT_EQ(cache.size(), 0u);
+
+  Fill(&cache, 0x4400);
+  Fill(&cache, 0x4402);
+  const CodeCache::Entry* entry = &cache.Find(0x4400);
+  cache.InvalidateWord(0x4400);
+  EXPECT_FALSE(cache.IsValid(*entry));
+  EXPECT_EQ(cache.Claim(0x4400), entry);
+  cache.InvalidateAll();
+  EXPECT_EQ(cache.Claim(0x4400), entry);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(CodeCacheTest, InvalidateAllKillsEveryEntry) {
+  CodeCache cache;
+  for (uint16_t a = 0x4400; a < 0x4800; a += 2) {
+    Fill(&cache, a);
+  }
+  cache.InvalidateAll();
+  for (uint16_t a = 0x4400; a < 0x4800; a += 2) {
+    EXPECT_FALSE(cache.IsValid(cache.Find(a))) << HexWord(a);
+  }
+  EXPECT_EQ(cache.stats().full_invalidations, 1u);
+  Fill(&cache, 0x4400);
+  EXPECT_TRUE(cache.IsValid(cache.Find(0x4400)));
+  EXPECT_EQ(cache.size(), 0x200u);
+}
+
+TEST(CodeCacheTest, GenerationWrapKillsEveryEntry) {
+  CodeCache cache(/*generation=*/0xFFFFFFFF);  // one bump short of the wrap
+  Fill(&cache, 0x4400);
+  // An entry validated at generation 1, 2^32 bumps ago. The generation
+  // restarts at 1 after the wrap; only the wrap's clear keeps it dead.
+  cache.Claim(0x4402)->gen = 1;
+  cache.InvalidateAll();
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x4400)));
+  EXPECT_FALSE(cache.IsValid(cache.Find(0x4402)));
+  Fill(&cache, 0x4404);
+  EXPECT_TRUE(cache.IsValid(cache.Find(0x4404)));
 }
 
 // End-to-end: a small fleet simulated with and without predecode produces
