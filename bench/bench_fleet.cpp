@@ -12,7 +12,10 @@
 //
 // The checkpoint section measures the wall-clock cost of periodic fleet
 // checkpointing, then simulates a kill after half the fleet and verifies the
-// resumed run's FleetDigest matches the uninterrupted reference exactly.
+// resumed run's FleetDigest matches the uninterrupted reference exactly. The
+// checkpoint scaling row times clock fleets of 2,000 to 32,000 devices with
+// and without checkpoints, and fails the run if the largest one's
+// checkpointed wall time exceeds 1.5x its plain run.
 //
 // The shard section splits the same fleet across S simulated hosts
 // (--shard i/S), merges the shard checkpoints, and verifies the merged
@@ -249,6 +252,73 @@ int Run() {
     all_identical = all_identical && aborted_as_expected && digest_match;
   }
 
+  // Checkpoint scaling: clock fleets of growing size, each run plain and
+  // with a checkpoint every 64 devices. A journal append costs the devices
+  // completed since the last one, so the overhead per device stays flat as
+  // the fleet grows; a full rewrite per checkpoint made it grow with the
+  // fleet (about 18x the plain run at 32,000 devices on a 4-core host).
+  // Best of 3 per configuration; the gate holds the largest fleet to 1.5x.
+  bool scaling_within_gate = false;
+  {
+    const char* kScalingPath = "bench_fleet_scaling.ckpt";
+    constexpr int kScalingGateDevices = 32000;
+    constexpr double kScalingGate = 1.5;
+    double gate_ratio = 0.0;
+    std::printf("\n");
+    for (int devices : {2000, 8000, kScalingGateDevices}) {
+      FleetConfig plain;
+      plain.device_count = devices;
+      plain.apps = {"clock"};
+      plain.fleet_seed = 20180711;
+      plain.sim_ms = 1000;
+      plain.jobs = std::min(4, Executor::DefaultThreadCount());
+      FleetConfig checkpointed = plain;
+      checkpointed.checkpoint_path = kScalingPath;
+      checkpointed.checkpoint_every_devices = 64;
+      double plain_seconds = 0.0;
+      double checkpointed_seconds = 0.0;
+      bool identical = true;
+      for (int rep = 0; rep < 3; ++rep) {
+        std::remove(kScalingPath);
+        auto without = RunFleet(plain);
+        auto with = RunFleet(checkpointed);
+        if (!without.ok() || !with.ok()) {
+          std::fprintf(stderr, "checkpoint scaling fleet (%d devices) failed: %s\n", devices,
+                       (without.ok() ? with.status() : without.status()).ToString().c_str());
+          return 1;
+        }
+        identical = identical && FleetDigest(*without) == FleetDigest(*with);
+        plain_seconds = rep == 0 ? without->run_seconds
+                                 : std::min(plain_seconds, without->run_seconds);
+        checkpointed_seconds = rep == 0 ? with->run_seconds
+                                        : std::min(checkpointed_seconds, with->run_seconds);
+      }
+      std::remove(kScalingPath);
+      all_identical = all_identical && identical;
+      const double ratio = plain_seconds > 0 ? checkpointed_seconds / plain_seconds : 1.0;
+      const double overhead_us = (checkpointed_seconds - plain_seconds) / devices * 1e6;
+      if (devices == kScalingGateDevices) {
+        gate_ratio = ratio;
+      }
+      std::printf(
+          "checkpoint scaling: %5d devices  plain %7.3f s  checkpointed %7.3f s  (%.2fx, "
+          "%+.2f us/device overhead)  digests %s\n",
+          devices, plain_seconds, checkpointed_seconds, ratio, overhead_us,
+          identical ? "bit-identical" : "DIVERGED");
+      const std::string key = "checkpoint_scaling_" + std::to_string(devices);
+      json.Scalar(key + "_plain_seconds", plain_seconds);
+      json.Scalar(key + "_checkpointed_seconds", checkpointed_seconds);
+      json.Scalar(key + "_ratio", ratio);
+      json.Scalar(key + "_overhead_us_per_device", overhead_us);
+    }
+    scaling_within_gate = gate_ratio <= kScalingGate;
+    std::printf("checkpoint scaling gate: %d devices at %.2fx plain (gate <= %.2fx) %s\n",
+                kScalingGateDevices, gate_ratio, kScalingGate,
+                scaling_within_gate ? "OK" : "EXCEEDED");
+    json.Scalar("checkpoint_scaling_gate", kScalingGate);
+    json.Scalar("checkpoint_scaling_within_gate", scaling_within_gate ? 1.0 : 0.0);
+  }
+
   // Cross-host sharding: run each shard serially (one simulated host per
   // shard), merge the shard checkpoints, and compare against the serial
   // single-host reference. The slowest shard bounds the fleet's wall clock,
@@ -320,7 +390,7 @@ int Run() {
   json.Scalar("all_identical", all_identical ? 1.0 : 0.0);
   json.Scalar("best_speedup", best_speedup);
   json.Write();
-  return all_identical ? 0 : 1;
+  return all_identical && scaling_within_gate ? 0 : 1;
 }
 
 }  // namespace

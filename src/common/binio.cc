@@ -58,7 +58,7 @@ bool SnapshotReader::Need(size_t n) {
     return false;
   }
   const size_t limit = in_section_ ? section_end_ : data_->size();
-  if (pos_ + n > limit) {
+  if (n > limit - pos_) {  // pos_ <= limit; `pos_ + n` could wrap
     status_ = OutOfRangeError(
         StrFormat("snapshot truncated: need %zu bytes at offset %zu (limit %zu)", n, pos_,
                   limit));
@@ -110,12 +110,24 @@ uint64_t SnapshotReader::U64() {
 double SnapshotReader::F64() { return std::bit_cast<double>(U64()); }
 
 void SnapshotReader::Bytes(uint8_t* out, size_t n) {
+  if (n == 0) {
+    return;  // `out` may be null (an empty vector's data())
+  }
   if (!Need(n)) {
     std::memset(out, 0, n);
     return;
   }
   std::memcpy(out, data_->data() + pos_, n);
   pos_ += n;
+}
+
+std::vector<uint8_t> SnapshotReader::Blob(size_t n) {
+  if (!Need(n)) {
+    return {};
+  }
+  std::vector<uint8_t> out(data_->data() + pos_, data_->data() + pos_ + n);
+  pos_ += n;
+  return out;
 }
 
 std::string SnapshotReader::Str() {

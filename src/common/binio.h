@@ -60,6 +60,10 @@ class SnapshotReader {
   uint64_t U64();
   double F64();
   void Bytes(uint8_t* out, size_t n);
+  // An n-byte blob. The remaining bytes are checked before anything is
+  // allocated, so a corrupt length from the stream fails instead of
+  // allocating it.
+  std::vector<uint8_t> Blob(size_t n);
   std::string Str();
 
   // Reads and validates a section header; the matching LeaveSection checks

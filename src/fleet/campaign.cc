@@ -272,15 +272,13 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
 
   fleet_internal::DeviceRunner runner(
       config.fleet, "campaign", std::move(identity), &report.metrics, &report.faults,
-      [&](FleetCheckpoint* cp) {
-        for (int i = 0; i < device_count; ++i) {
-          if (!cp->completed[static_cast<size_t>(i)]) {
-            continue;
-          }
-          const CampaignDeviceRow& row = report.devices[static_cast<size_t>(i)];
-          cp->devices.push_back(row.stats);
-          cp->campaign_devices.push_back({i, static_cast<uint8_t>(row.outcome),
-                                          row.firmware_version, row.verify_cycles});
+      [&](const std::vector<int>& ids, std::vector<DeviceStats>* rows,
+          std::vector<CampaignDeviceRecord>* campaign_rows) {
+        for (int id : ids) {
+          const CampaignDeviceRow& row = report.devices[static_cast<size_t>(id)];
+          rows->push_back(row.stats);
+          campaign_rows->push_back({id, static_cast<uint8_t>(row.outcome),
+                                    row.firmware_version, row.verify_cycles});
         }
       });
   if (resume != nullptr) {

@@ -1,5 +1,6 @@
 #include "src/fleet/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -21,6 +22,105 @@ Status AsCheckpointError(const Status& status) {
   }
   return InvalidArgumentError(
       StrFormat("fleet checkpoint corrupt: %s", status.message().c_str()));
+}
+
+// The one row layout of the AMFC device and campaign sections and of the
+// journal records: u32 count, then the rows.
+void WriteDeviceRows(SnapshotWriter& w, const std::vector<DeviceStats>& rows) {
+  w.U32(static_cast<uint32_t>(rows.size()));
+  for (const DeviceStats& d : rows) {
+    w.U32(static_cast<uint32_t>(d.device_id));
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      w.U64(d.*c.stat);
+    }
+    w.F64(d.battery_impact_percent);
+  }
+}
+
+void ReadDeviceRows(SnapshotReader& r, std::vector<DeviceStats>* rows) {
+  const uint32_t count = r.U32();
+  for (uint32_t i = 0; r.ok() && i < count; ++i) {
+    DeviceStats d;
+    d.device_id = static_cast<int>(r.U32());
+    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
+      d.*c.stat = r.U64();
+    }
+    d.battery_impact_percent = r.F64();
+    rows->push_back(d);
+  }
+}
+
+void WriteCampaignRows(SnapshotWriter& w, const std::vector<CampaignDeviceRecord>& rows) {
+  w.U32(static_cast<uint32_t>(rows.size()));
+  for (const CampaignDeviceRecord& rec : rows) {
+    w.U32(static_cast<uint32_t>(rec.device_id));
+    w.U8(rec.outcome);
+    w.U32(rec.firmware_version);
+    w.U64(rec.verify_cycles);
+  }
+}
+
+void ReadCampaignRows(SnapshotReader& r, std::vector<CampaignDeviceRecord>* rows) {
+  const uint32_t count = r.U32();
+  for (uint32_t i = 0; r.ok() && i < count; ++i) {
+    CampaignDeviceRecord rec;
+    rec.device_id = static_cast<int>(r.U32());
+    rec.outcome = r.U8();
+    rec.firmware_version = r.U32();
+    rec.verify_cycles = r.U64();
+    rows->push_back(rec);
+  }
+}
+
+// Writes `bytes` to `path + ".tmp"` and renames it over `path`, so a reader
+// sees the old file or the new one, never a torn one. With `keep_open` the
+// handle stays open at the end of the file and is returned; else null.
+Result<std::FILE*> ReplaceFile(const std::string& path, const std::vector<uint8_t>& bytes,
+                               bool keep_open) {
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
+  if (f == nullptr) {
+    return InvalidArgumentError(StrFormat("cannot write %s", tmp_path.c_str()));
+  }
+  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+  if (written != bytes.size() || !flushed) {
+    std::fclose(f);
+    std::remove(tmp_path.c_str());
+    return InternalError(StrFormat("short write to %s", tmp_path.c_str()));
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::fclose(f);
+    std::remove(tmp_path.c_str());
+    return InternalError(
+        StrFormat("cannot rename %s over %s", tmp_path.c_str(), path.c_str()));
+  }
+  if (!keep_open) {
+    std::fclose(f);
+    return nullptr;
+  }
+  return f;
+}
+
+std::vector<uint8_t> EncodeJournalRecord(FleetCheckpointKind kind,
+                                         const FleetCheckpointDelta& delta) {
+  SnapshotWriter payload;
+  payload.U32(static_cast<uint32_t>(delta.ids.size()));
+  for (int id : delta.ids) {
+    payload.U32(static_cast<uint32_t>(id));
+  }
+  WriteDeviceRows(payload, delta.devices);
+  if (kind == FleetCheckpointKind::kCampaign) {
+    WriteCampaignRows(payload, delta.campaign_devices);
+  }
+  delta.metrics.SaveState(payload);
+  delta.faults.SaveState(payload);
+  const std::vector<uint8_t>& body = payload.bytes();
+  SnapshotWriter w;
+  w.U32(static_cast<uint32_t>(body.size()));
+  w.Bytes(body.data(), body.size());
+  w.U64(Fnv1a64(body.data(), body.size()));
+  return w.Take();
 }
 
 }  // namespace
@@ -91,14 +191,7 @@ std::vector<uint8_t> EncodeFleetCheckpoint(const FleetCheckpoint& checkpoint) {
   w.EndSection();
 
   w.BeginSection(FleetCheckpointSection::kFleetDevices);
-  w.U32(static_cast<uint32_t>(checkpoint.devices.size()));
-  for (const DeviceStats& d : checkpoint.devices) {
-    w.U32(static_cast<uint32_t>(d.device_id));
-    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
-      w.U64(d.*c.stat);
-    }
-    w.F64(d.battery_impact_percent);
-  }
+  WriteDeviceRows(w, checkpoint.devices);
   w.EndSection();
 
   w.BeginSection(FleetCheckpointSection::kFleetBitmap);
@@ -129,13 +222,7 @@ std::vector<uint8_t> EncodeFleetCheckpoint(const FleetCheckpoint& checkpoint) {
 
   if (checkpoint.kind == FleetCheckpointKind::kCampaign) {
     w.BeginSection(FleetCheckpointSection::kCampaignDevices);
-    w.U32(static_cast<uint32_t>(checkpoint.campaign_devices.size()));
-    for (const CampaignDeviceRecord& rec : checkpoint.campaign_devices) {
-      w.U32(static_cast<uint32_t>(rec.device_id));
-      w.U8(rec.outcome);
-      w.U32(rec.firmware_version);
-      w.U64(rec.verify_cycles);
-    }
+    WriteCampaignRows(w, checkpoint.campaign_devices);
     w.EndSection();
   }
 
@@ -148,7 +235,9 @@ std::vector<uint8_t> EncodeFleetCheckpoint(const FleetCheckpoint& checkpoint) {
   return bytes;
 }
 
-Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes) {
+namespace {
+
+Result<FleetCheckpoint> DecodeAmfc(const std::vector<uint8_t>& bytes) {
   // Header + trailer minimum: magic, version, kind byte, checksum.
   if (bytes.size() < 4 + 4 + 1 + 8) {
     return InvalidArgumentError("fleet checkpoint truncated");
@@ -220,11 +309,7 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
   r.LeaveSection();
 
   r.EnterSection(FleetCheckpointSection::kFleetTemplate);
-  const uint32_t snapshot_bytes = r.U32();
-  if (r.ok()) {
-    out.template_snapshot.bytes.resize(snapshot_bytes);
-    r.Bytes(out.template_snapshot.bytes.data(), snapshot_bytes);
-  }
+  out.template_snapshot.bytes = r.Blob(r.U32());
   r.LeaveSection();
 
   r.EnterSection(FleetCheckpointSection::kFleetMetrics);
@@ -237,16 +322,7 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
   r.LeaveSection();
 
   r.EnterSection(FleetCheckpointSection::kFleetDevices);
-  const uint32_t device_rows = r.U32();
-  for (uint32_t i = 0; r.ok() && i < device_rows; ++i) {
-    DeviceStats d;
-    d.device_id = static_cast<int>(r.U32());
-    for (const fleet_internal::DeviceCounter& c : fleet_internal::kDeviceCounters) {
-      d.*c.stat = r.U64();
-    }
-    d.battery_impact_percent = r.F64();
-    out.devices.push_back(d);
-  }
+  ReadDeviceRows(r, &out.devices);
   r.LeaveSection();
 
   r.EnterSection(FleetCheckpointSection::kFleetBitmap);
@@ -255,13 +331,13 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
     if (out.device_count <= 0) {
       return InvalidArgumentError("fleet checkpoint has no devices");
     }
-    const size_t bitmap_bytes = (static_cast<size_t>(out.device_count) + 7) / 8;
-    std::vector<uint8_t> bitmap(bitmap_bytes, 0);
-    r.Bytes(bitmap.data(), bitmap.size());
-    out.completed.assign(static_cast<size_t>(out.device_count), false);
-    for (int i = 0; i < out.device_count; ++i) {
-      out.completed[i] =
-          (bitmap[static_cast<size_t>(i) / 8] >> (i % 8) & 1u) != 0;
+    const std::vector<uint8_t> bitmap =
+        r.Blob((static_cast<size_t>(out.device_count) + 7) / 8);
+    if (r.ok()) {
+      out.completed.assign(static_cast<size_t>(out.device_count), false);
+      for (int i = 0; i < out.device_count; ++i) {
+        out.completed[i] = (bitmap[static_cast<size_t>(i) / 8] >> (i % 8) & 1u) != 0;
+      }
     }
   }
   r.LeaveSection();
@@ -292,15 +368,7 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
 
   if (out.kind == FleetCheckpointKind::kCampaign && r.ok()) {
     r.EnterSection(FleetCheckpointSection::kCampaignDevices);
-    const uint32_t campaign_rows = r.U32();
-    for (uint32_t i = 0; r.ok() && i < campaign_rows; ++i) {
-      CampaignDeviceRecord rec;
-      rec.device_id = static_cast<int>(r.U32());
-      rec.outcome = r.U8();
-      rec.firmware_version = r.U32();
-      rec.verify_cycles = r.U64();
-      out.campaign_devices.push_back(rec);
-    }
+    ReadCampaignRows(r, &out.campaign_devices);
     r.LeaveSection();
   }
 
@@ -354,26 +422,132 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
   return out;
 }
 
-Status WriteFleetCheckpoint(const std::string& path, const FleetCheckpoint& checkpoint) {
-  const std::vector<uint8_t> bytes = EncodeFleetCheckpoint(checkpoint);
-  const std::string tmp_path = path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return InvalidArgumentError(StrFormat("cannot write %s", tmp_path.c_str()));
+// Rows, when a record has any, are its devices in id-list order.
+template <typename Row>
+bool RowsFollowIds(const std::vector<Row>& rows, const std::vector<int>& ids) {
+  if (rows.empty()) {
+    return true;
   }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp_path.c_str());
-    return InternalError(StrFormat("short write to %s", tmp_path.c_str()));
+  if (rows.size() != ids.size()) {
+    return false;
   }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return InternalError(
-        StrFormat("cannot rename %s over %s", tmp_path.c_str(), path.c_str()));
+  for (size_t k = 0; k < ids.size(); ++k) {
+    if (rows[k].device_id != ids[k]) {
+      return false;
+    }
   }
+  return true;
+}
+
+// Replays one checksum-verified journal record onto `out`.
+Status ApplyJournalRecord(const std::vector<uint8_t>& payload, int record,
+                          FleetCheckpoint* out) {
+  SnapshotReader r(payload);
+  std::vector<int> ids;
+  const uint32_t id_count = r.U32();
+  for (uint32_t i = 0; r.ok() && i < id_count; ++i) {
+    ids.push_back(static_cast<int>(r.U32()));
+  }
+  std::vector<DeviceStats> rows;
+  ReadDeviceRows(r, &rows);
+  std::vector<CampaignDeviceRecord> campaign_rows;
+  if (out->kind == FleetCheckpointKind::kCampaign) {
+    ReadCampaignRows(r, &campaign_rows);
+  }
+  // Each LoadState returns the reader's status, so an earlier short read
+  // surfaces here too.
+  MetricRegistry metrics;
+  RETURN_IF_ERROR(AsCheckpointError(metrics.LoadState(r)));
+  FaultLedger faults;
+  RETURN_IF_ERROR(AsCheckpointError(faults.LoadState(r)));
+  if (!r.AtEnd()) {
+    return InvalidArgumentError(
+        StrFormat("fleet checkpoint journal record %d has trailing bytes", record));
+  }
+  const ShardRange slice =
+      ShardRangeFor(out->device_count, out->shard_index, out->shard_count);
+  for (int id : ids) {
+    if (id < 0 || id >= out->device_count) {
+      return InvalidArgumentError(StrFormat(
+          "fleet checkpoint journal record %d names out-of-range device %d", record, id));
+    }
+    if (!slice.Contains(id)) {
+      return InvalidArgumentError(StrFormat(
+          "fleet checkpoint journal record %d names device %d outside shard %d/%d's slice "
+          "[%d, %d)",
+          record, id, out->shard_index, out->shard_count, slice.lo, slice.hi));
+    }
+    if (out->completed[static_cast<size_t>(id)]) {
+      return InvalidArgumentError(StrFormat(
+          "fleet checkpoint journal record %d completes device %d a second time", record,
+          id));
+    }
+    out->completed[static_cast<size_t>(id)] = true;
+  }
+  if (!RowsFollowIds(rows, ids) || !RowsFollowIds(campaign_rows, ids)) {
+    return InvalidArgumentError(StrFormat(
+        "fleet checkpoint journal record %d has rows that do not match its devices", record));
+  }
+  out->devices.insert(out->devices.end(), rows.begin(), rows.end());
+  out->campaign_devices.insert(out->campaign_devices.end(), campaign_rows.begin(),
+                               campaign_rows.end());
+  out->metrics.Merge(metrics);
+  out->faults.Merge(faults);
   return OkStatus();
+}
+
+Result<FleetCheckpoint> DecodeJournal(const std::vector<uint8_t>& bytes) {
+  SnapshotReader r(bytes);
+  (void)r.U32();  // magic, checked by the caller
+  const uint32_t version = r.U32();
+  if (r.ok() && version != kFleetCheckpointVersion) {
+    return InvalidArgumentError(
+        StrFormat("unsupported fleet checkpoint journal version %u (supported: %u)", version,
+                  kFleetCheckpointVersion));
+  }
+  const std::vector<uint8_t> base = r.Blob(r.U64());
+  if (!r.ok()) {
+    return InvalidArgumentError("fleet checkpoint journal truncated inside its base");
+  }
+  ASSIGN_OR_RETURN(FleetCheckpoint out, DecodeAmfc(base));
+  for (int record = 0; !r.AtEnd(); ++record) {
+    const uint32_t length = r.U32();
+    const std::vector<uint8_t> payload = r.Blob(length);
+    const uint64_t sum = r.U64();
+    if (!r.ok()) {
+      break;  // short: only the last record can be, and it is a torn append
+    }
+    if (Fnv1a64(payload.data(), payload.size()) != sum) {
+      if (r.AtEnd()) {
+        break;  // a torn last append
+      }
+      return InvalidArgumentError(StrFormat(
+          "fleet checkpoint journal record %d fails its checksum and is not the last",
+          record));
+    }
+    RETURN_IF_ERROR(ApplyJournalRecord(payload, record, &out));
+  }
+  std::sort(out.devices.begin(), out.devices.end(),
+            [](const DeviceStats& a, const DeviceStats& b) { return a.device_id < b.device_id; });
+  std::sort(out.campaign_devices.begin(), out.campaign_devices.end(),
+            [](const CampaignDeviceRecord& a, const CampaignDeviceRecord& b) {
+              return a.device_id < b.device_id;
+            });
+  return out;
+}
+
+}  // namespace
+
+Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes) {
+  uint32_t magic = 0;
+  if (bytes.size() >= 4) {
+    std::memcpy(&magic, bytes.data(), 4);
+  }
+  return magic == kFleetJournalMagic ? DecodeJournal(bytes) : DecodeAmfc(bytes);
+}
+
+Status WriteFleetCheckpoint(const std::string& path, const FleetCheckpoint& checkpoint) {
+  return ReplaceFile(path, EncodeFleetCheckpoint(checkpoint), /*keep_open=*/false).status();
 }
 
 Result<FleetCheckpoint> ReadFleetCheckpoint(const std::string& path) {
@@ -393,6 +567,34 @@ Result<FleetCheckpoint> ReadFleetCheckpoint(const std::string& path) {
     return InternalError(StrFormat("error reading %s", path.c_str()));
   }
   return DecodeFleetCheckpoint(bytes);
+}
+
+Result<std::unique_ptr<FleetCheckpointJournal>> FleetCheckpointJournal::Create(
+    const std::string& path, const FleetCheckpoint& base) {
+  const std::vector<uint8_t> amfc = EncodeFleetCheckpoint(base);
+  SnapshotWriter w;
+  w.U32(kFleetJournalMagic);
+  w.U32(kFleetCheckpointVersion);
+  w.U64(amfc.size());
+  w.Bytes(amfc.data(), amfc.size());
+  ASSIGN_OR_RETURN(std::FILE* file, ReplaceFile(path, w.bytes(), /*keep_open=*/true));
+  return std::unique_ptr<FleetCheckpointJournal>(
+      new FleetCheckpointJournal(file, path, base.kind));
+}
+
+FleetCheckpointJournal::FleetCheckpointJournal(std::FILE* file, std::string path,
+                                               FleetCheckpointKind kind)
+    : file_(file), path_(std::move(path)), kind_(kind) {}
+
+FleetCheckpointJournal::~FleetCheckpointJournal() { std::fclose(file_); }
+
+Status FleetCheckpointJournal::Append(const FleetCheckpointDelta& delta) {
+  const std::vector<uint8_t> record = EncodeJournalRecord(kind_, delta);
+  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size() ||
+      std::fflush(file_) != 0) {
+    return InternalError(StrFormat("short append to %s", path_.c_str()));
+  }
+  return OkStatus();
 }
 
 }  // namespace amulet

@@ -3,7 +3,10 @@
 // with a digest byte-identical to an uninterrupted run (docs/fleet.md,
 // "Checkpoint & resume"; docs/ota.md, "Campaign checkpoints").
 //
-// Format (little-endian, built on src/common/binio.h):
+// A checkpoint file holds one of two containers. A finished run leaves an
+// AMFC file; a running or killed one leaves an AMFJ journal.
+//
+// AMFC (little-endian, built on src/common/binio.h):
 //   u32 magic "AMFC" | u32 version | u8 kind | sections... | u64 fnv1a64
 // The trailing u64 is FNV-1a 64 over every preceding byte, so any
 // truncation or bit flip is rejected before section parsing begins.
@@ -32,22 +35,43 @@
 //                   homogeneous) plus the canonical profile text for
 //                   mismatch diagnostics
 //
+// AMFJ, the journal a run appends to while it runs, so a checkpoint costs
+// what changed since the last one:
+//   u32 magic "AMFJ" | u32 version | u64 base length | base | records...
+// The base is the AMFC encoding of the run before its first device ran (the
+// identity plus any resumed state). Each record is
+//   u32 length | payload | u64 fnv1a64(payload)
+// and its payload holds the devices completed since the previous record:
+//   u32 n | n x u32 device id | device rows (empty in streaming mode) |
+//   campaign rows (campaign journals only) | MetricRegistry delta |
+//   FaultLedger delta
+// Rows use the AMFC sections' row encoding and, when present, follow the
+// id list. Decoding replays the records onto the base. A final record that
+// is short or fails its checksum is a torn append: it is dropped and its
+// devices re-run. A bad record with bytes after it is corruption. When the
+// run ends, DeviceRunner::Finish compacts the journal into the AMFC file
+// of the same state.
+//
 // Version history: v1 (PR 1-3) had no kind byte, no integrity trailer, no
 // watchdog_resets column, and no campaign section. v3 added the
 // instructions-retired column to device rows. v4 added the fault-ledger
 // section. v5 added the shard-slice and population-profile sections and
 // switched per-device seeding to the splitmix64 mixer (so every v4 digest is
-// stale even for configs v5 can express). Files are only readable by builds
-// of the same version; decoding an older file returns a clear
-// InvalidArgumentError telling the caller to re-run without --resume.
+// stale even for configs v5 can express), and then the AMFJ journal, which
+// carries the same version. Files are only readable by builds of the same
+// version; decoding an older file returns a clear InvalidArgumentError
+// telling the caller to re-run without --resume.
 //
 // Every decode failure — bad magic, unsupported version, truncation,
-// checksum mismatch, corrupt section, out-of-range ids — returns
-// InvalidArgumentError; a checkpoint is never partially applied.
+// checksum mismatch, corrupt section or record, out-of-range ids — returns
+// InvalidArgumentError; a checkpoint is never partially applied. The one
+// exception is the torn final journal record above, which is dropped.
 #ifndef SRC_FLEET_CHECKPOINT_H_
 #define SRC_FLEET_CHECKPOINT_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,6 +82,7 @@
 namespace amulet {
 
 inline constexpr uint32_t kFleetCheckpointMagic = 0x43464D41;  // "AMFC"
+inline constexpr uint32_t kFleetJournalMagic = 0x4A464D41;     // "AMFJ"
 inline constexpr uint32_t kFleetCheckpointVersion = 5;
 
 // What produced the checkpoint; a fleet resume rejects campaign checkpoints
@@ -148,7 +173,10 @@ uint64_t FleetConfigHash(const FleetConfig& config, uint64_t firmware_hash,
 
 // Serializes/parses the container. Decode validates magic, version, the
 // whole-file checksum, every section, the bitmap/device-row consistency,
-// and full consumption.
+// and full consumption. It also reads AMFJ journals: it decodes the base,
+// replays the records in order — every id must be in range, inside the
+// shard slice and not yet completed — and returns rows in ascending id
+// order, the same checkpoint a Finish at that point would have compacted.
 std::vector<uint8_t> EncodeFleetCheckpoint(const FleetCheckpoint& checkpoint);
 Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes);
 
@@ -157,6 +185,39 @@ Result<FleetCheckpoint> DecodeFleetCheckpoint(const std::vector<uint8_t>& bytes)
 // complete checkpoint or the new complete checkpoint.
 Status WriteFleetCheckpoint(const std::string& path, const FleetCheckpoint& checkpoint);
 Result<FleetCheckpoint> ReadFleetCheckpoint(const std::string& path);
+
+// The devices completed since the previous journal record and what they
+// contributed: one AMFJ record.
+struct FleetCheckpointDelta {
+  std::vector<int> ids;
+  std::vector<DeviceStats> devices;  // rows of `ids`, in order; empty when streaming
+  std::vector<CampaignDeviceRecord> campaign_devices;  // campaign runs only
+  MetricRegistry metrics;
+  FaultLedger faults;
+};
+
+// An open AMFJ journal. Not thread-safe: DeviceRunner appends under its
+// merge lock.
+class FleetCheckpointJournal {
+ public:
+  // Writes the header and `base` to `path + ".tmp"`, renames it over `path`
+  // and keeps the file open for appends.
+  static Result<std::unique_ptr<FleetCheckpointJournal>> Create(const std::string& path,
+                                                                const FleetCheckpoint& base);
+  ~FleetCheckpointJournal();
+  FleetCheckpointJournal(const FleetCheckpointJournal&) = delete;
+  FleetCheckpointJournal& operator=(const FleetCheckpointJournal&) = delete;
+
+  // Appends one record and flushes it to the file.
+  Status Append(const FleetCheckpointDelta& delta);
+
+ private:
+  FleetCheckpointJournal(std::FILE* file, std::string path, FleetCheckpointKind kind);
+
+  std::FILE* const file_;
+  const std::string path_;
+  const FleetCheckpointKind kind_;  // campaign journals carry campaign rows
+};
 
 }  // namespace amulet
 

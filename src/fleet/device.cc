@@ -215,7 +215,7 @@ Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
 
 DeviceRunner::DeviceRunner(const FleetConfig& config, const char* label,
                            FleetCheckpoint identity, MetricRegistry* metrics,
-                           FaultLedger* ledger, std::function<void(FleetCheckpoint*)> add_rows)
+                           FaultLedger* ledger, AddRows add_rows)
     : config_(config),
       label_(label),
       identity_(std::move(identity)),
@@ -273,6 +273,16 @@ Status DeviceRunner::Resume(const FleetCheckpoint& resume) {
 bool DeviceRunner::Run(const std::vector<int>& ids, const Body& body) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (!config_.checkpoint_path.empty() && journal_ == nullptr && checkpoint_status_.ok()) {
+      Result<std::unique_ptr<FleetCheckpointJournal>> journal =
+          FleetCheckpointJournal::Create(config_.checkpoint_path, Checkpoint());
+      if (journal.ok()) {
+        journal_ = std::move(*journal);
+      } else {
+        checkpoint_status_ = journal.status();
+        cancelled_.store(true, std::memory_order_relaxed);
+      }
+    }
     batch_size_ = ids.size();
     batch_done_ = 0;
     batch_start_ = last_progress_ = std::chrono::steady_clock::now();
@@ -302,24 +312,27 @@ void DeviceRunner::RunOne(int id, const Body& body) {
     return;
   }
   // Merge order varies with scheduling; the registry's and ledger's integer
-  // state makes the result order-independent.
-  metrics_->Merge(device_metrics);
-  ledger_->Merge(device_ledger);
+  // state makes the result order-independent, and folding the pending delta
+  // into the run later is one more merge.
+  pending_.metrics.Merge(device_metrics);
+  pending_.faults.Merge(device_ledger);
   completed_[static_cast<size_t>(id)] = true;
   ++completed_this_run_;
   if (config_.abort_after_devices > 0 && completed_this_run_ >= config_.abort_after_devices) {
     cancelled_.store(true, std::memory_order_relaxed);
   }
-  if (!config_.checkpoint_path.empty() && checkpoint_status_.ok()) {
-    ++since_checkpoint_;
-    if (since_checkpoint_ >= std::max(1, config_.checkpoint_every_devices) ||
+  if (journal_ != nullptr) {
+    pending_.ids.push_back(id);
+    if (pending_.ids.size() >= static_cast<size_t>(std::max(1, config_.checkpoint_every_devices)) ||
         SecondsSince(last_checkpoint_) >= config_.checkpoint_every_seconds) {
-      checkpoint_status_ = WriteFleetCheckpoint(config_.checkpoint_path, Checkpoint());
-      since_checkpoint_ = 0;
-      last_checkpoint_ = std::chrono::steady_clock::now();
+      add_rows_(pending_.ids, &pending_.devices, &pending_.campaign_devices);
+      checkpoint_status_ = journal_->Append(pending_);
       if (!checkpoint_status_.ok()) {
+        journal_.reset();
         cancelled_.store(true, std::memory_order_relaxed);
       }
+      FoldPending();
+      last_checkpoint_ = std::chrono::steady_clock::now();
     }
   }
   const size_t step = std::max<size_t>(1, batch_size_ / 20);
@@ -334,19 +347,35 @@ void DeviceRunner::RunOne(int id, const Body& body) {
   }
 }
 
+void DeviceRunner::FoldPending() {
+  metrics_->Merge(pending_.metrics);
+  ledger_->Merge(pending_.faults);
+  pending_ = FleetCheckpointDelta();
+}
+
 FleetCheckpoint DeviceRunner::Checkpoint() const {
   FleetCheckpoint cp = identity_;
   cp.metrics = *metrics_;
   cp.faults = *ledger_;
   cp.completed = completed_;
-  add_rows_(&cp);
+  std::vector<int> ids;
+  for (size_t i = 0; i < completed_.size(); ++i) {
+    if (completed_[i]) {
+      ids.push_back(static_cast<int>(i));
+    }
+  }
+  add_rows_(ids, &cp.devices, &cp.campaign_devices);
   return cp;
 }
 
 Status DeviceRunner::Finish() {
   std::lock_guard<std::mutex> lock(mu_);
+  FoldPending();
+  journal_.reset();
   // The final checkpoint is written on every exit path — success, device
-  // error, abort — so no completed device's work is ever lost.
+  // error, abort — so no completed device's work is ever lost. It replaces
+  // the journal with the AMFC file of the same state. After a failed
+  // append the journal is left as it is; it is still a valid resume point.
   if (!config_.checkpoint_path.empty() && checkpoint_status_.ok()) {
     checkpoint_status_ = WriteFleetCheckpoint(config_.checkpoint_path, Checkpoint());
   }

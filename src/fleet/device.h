@@ -149,9 +149,10 @@ Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
 // everything around the body, for a plain fleet run and for every stage of a
 // campaign alike: the fail_device_id hook; merging each finished device's
 // registry, ledger and completed bit into the run under one lock;
-// abort_after_devices; the checkpoint cadence; fail-fast, where the first
-// failure stops every body not yet started and the lowest failing id is the
-// one reported; the --verbose progress line; and the final checkpoint.
+// abort_after_devices; the checkpoint journal and its cadence; fail-fast,
+// where the first failure stops every body not yet started and the lowest
+// failing id is the one reported; the --verbose progress line; and the
+// final, compacted checkpoint.
 class DeviceRunner {
  public:
   // Simulates device `id`: fills the caller's result slot for `id`, records
@@ -159,29 +160,42 @@ class DeviceRunner {
   // are merged into the run only when the body returns OK.
   using Body = std::function<Status(int id, MetricRegistry* metrics, FaultLedger* ledger)>;
 
+  // Appends the result rows of the finished devices `ids`, in that order:
+  // DeviceStats rows to `rows` (none in streaming mode) and campaign rows to
+  // `campaign_rows` (campaign runs only). Runs under the merge lock.
+  using AddRows = std::function<void(const std::vector<int>& ids, std::vector<DeviceStats>* rows,
+                                     std::vector<CampaignDeviceRecord>* campaign_rows)>;
+
   // `identity` is the checkpoint header of this run: kind, config hash and
   // text, template snapshot, device_count, shard slice and profile. The run
-  // merges devices into `*metrics` and `*ledger` (the report's). Every
-  // checkpoint is `identity` plus the merged state plus whatever `add_rows`
-  // appends for the completed devices; `add_rows` runs under the merge lock.
-  // `label` prefixes progress lines and the abort message.
+  // merges devices into `*metrics` and `*ledger` (the report's); until
+  // Finish, devices completed since the last checkpoint record wait in a
+  // pending delta. A checkpoint is `identity` plus the merged state plus the
+  // rows `add_rows` emits. `label` prefixes progress lines and the abort
+  // message.
   DeviceRunner(const FleetConfig& config, const char* label, FleetCheckpoint identity,
-               MetricRegistry* metrics, FaultLedger* ledger,
-               std::function<void(FleetCheckpoint*)> add_rows);
+               MetricRegistry* metrics, FaultLedger* ledger, AddRows add_rows);
 
   // Validates `resume` against the identity (kind, shard slice, profile,
   // config hash, template snapshot) and adopts its merged metrics, ledger and
   // completed bitmap. Call before the first Run.
   Status Resume(const FleetCheckpoint& resume);
 
-  // Runs `body` for every id on the executor. Returns false once the run is
-  // cancelled (device failure, abort_after_devices, checkpoint error);
-  // bodies not yet started when that happens never run.
+  // Runs `body` for every id on the executor. The first call with a
+  // checkpoint path starts the journal there, whose base is the run as it
+  // stands (identity plus resumed state); a path it cannot write fails the
+  // run before any device runs. Every checkpoint_every_devices completions
+  // or checkpoint_every_seconds, the pending devices are appended as one
+  // record and folded into the run. Returns false once the run is cancelled
+  // (device failure, abort_after_devices, checkpoint error); bodies not yet
+  // started when that happens never run.
   bool Run(const std::vector<int>& ids, const Body& body);
 
-  // Writes the final checkpoint, then returns the run's outcome: the lowest
-  // failing device's error, a checkpoint write error, kCancelled after
-  // abort_after_devices, or OK. Call once, after the last Run.
+  // Folds the pending devices into the run and compacts the journal into
+  // the final AMFC checkpoint (or writes it, if no journal was started),
+  // then returns the run's outcome: the lowest failing device's error, a
+  // checkpoint error, kCancelled after abort_after_devices, or OK. Call
+  // once, after the last Run.
   Status Finish();
 
   // Whether device `id` has finished (restored or run); not while Run is
@@ -191,24 +205,28 @@ class DeviceRunner {
 
  private:
   void RunOne(int id, const Body& body);
-  FleetCheckpoint Checkpoint() const;  // mu_ held
+  void FoldPending();                  // mu_ held
+  FleetCheckpoint Checkpoint() const;  // mu_ held; the pending delta is folded
 
   const FleetConfig& config_;
   const char* label_;
   const FleetCheckpoint identity_;
   MetricRegistry* metrics_;
   FaultLedger* ledger_;
-  const std::function<void(FleetCheckpoint*)> add_rows_;
+  const AddRows add_rows_;
   const Executor executor_;
   std::atomic<bool> cancelled_{false};
 
   std::mutex mu_;  // guards every member below
   std::vector<bool> completed_;
+  // Finished devices not yet folded into *metrics_ / *ledger_; `ids` is
+  // kept only while a journal is open.
+  FleetCheckpointDelta pending_;
+  std::unique_ptr<FleetCheckpointJournal> journal_;
   Status failure_;  // the lowest-id failure so far
   int failure_id_ = -1;
   Status checkpoint_status_;
   int completed_this_run_ = 0;
-  int since_checkpoint_ = 0;
   std::chrono::steady_clock::time_point last_checkpoint_;
   size_t batch_size_ = 0;  // progress of the current Run call
   size_t batch_done_ = 0;

@@ -173,14 +173,13 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
 
   fleet_internal::DeviceRunner runner(
       config, "fleet", std::move(identity), &report.metrics, &report.faults,
-      [&](FleetCheckpoint* cp) {
+      [&](const std::vector<int>& ids, std::vector<DeviceStats>* rows,
+          std::vector<CampaignDeviceRecord>*) {
         if (!retain) {
           return;
         }
-        for (int i = 0; i < config.device_count; ++i) {
-          if (cp->completed[static_cast<size_t>(i)]) {
-            cp->devices.push_back(report.devices[static_cast<size_t>(i)]);
-          }
+        for (int id : ids) {
+          rows->push_back(report.devices[static_cast<size_t>(id)]);
         }
       });
   if (resume != nullptr) {

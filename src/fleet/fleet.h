@@ -90,13 +90,16 @@ struct FleetConfig {
   PopulationProfile profile;
 
   // --- Checkpoint/resume (docs/fleet.md "Checkpoint & resume") ---
-  // When non-empty, RunFleet persists a fleet checkpoint at this path —
-  // atomically, via write-to-temp + rename — every checkpoint_every_devices
-  // device completions or checkpoint_every_seconds wall seconds (whichever
-  // comes first), plus a final one when the run ends, including on error or
-  // abort, so no completed device's work is ever lost. ResumeFleet() reads
-  // the file back, validates it against this config, and re-runs only the
-  // devices the checkpoint does not already cover.
+  // When non-empty, RunFleet keeps a checkpoint journal at this path: before
+  // the first device runs it writes the journal's base (write-to-temp +
+  // rename), then appends one record of the devices completed since the
+  // last one every checkpoint_every_devices device completions or
+  // checkpoint_every_seconds wall seconds (whichever comes first). When the
+  // run ends, including on error or abort, the journal is compacted into
+  // one AMFC checkpoint, again by write-to-temp + rename, so no completed
+  // device's work is ever lost. ResumeFleet() reads either form back,
+  // validates it against this config, and re-runs only the devices the
+  // checkpoint does not already cover.
   std::string checkpoint_path;
   int checkpoint_every_devices = 64;
   double checkpoint_every_seconds = 30.0;

@@ -101,13 +101,12 @@ Result<Image> DecodeFirmwarePayload(const std::vector<uint8_t>& payload) {
   for (uint32_t i = 0; r.ok() && i < chunk_count; ++i) {
     const uint16_t base = r.U16();
     const uint32_t size = r.U32();
-    if (static_cast<uint32_t>(base) + size > 0x10000) {
+    if (static_cast<uint64_t>(base) + size > 0x10000) {
       return InvalidArgumentError(
           StrFormat("firmware payload chunk [0x%04x, +%u) leaves the address space", base,
                     size));
     }
-    std::vector<uint8_t> chunk(size);
-    r.Bytes(chunk.data(), chunk.size());
+    std::vector<uint8_t> chunk = r.Blob(size);
     if (r.ok() && !image.chunks.emplace(base, std::move(chunk)).second) {
       return InvalidArgumentError(
           StrFormat("firmware payload repeats chunk base 0x%04x", base));

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "src/common/binio.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
 
@@ -61,6 +65,30 @@ Result<int> Doubled(Result<int> in) {
 TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_EQ(*Doubled(21), 42);
   EXPECT_EQ(Doubled(InternalError("boom")).status().code(), StatusCode::kInternal);
+}
+
+// Lengths read from a stream are checked against the bytes left before
+// anything is allocated or copied, without overflowing the check itself.
+TEST(BinioTest, BlobAndBytesCheckLengthsFirst) {
+  const std::vector<uint8_t> empty;
+  SnapshotReader none(empty);
+  none.Bytes(nullptr, 0);  // zero-length read into an empty vector's data()
+  EXPECT_TRUE(none.Blob(0).empty());
+  EXPECT_TRUE(none.ok());
+
+  const std::vector<uint8_t> three = {1, 2, 3};
+  SnapshotReader huge(three);
+  EXPECT_TRUE(huge.Blob(SIZE_MAX).empty());
+  EXPECT_FALSE(huge.ok());
+  SnapshotReader wrap(three);
+  (void)wrap.U8();
+  EXPECT_TRUE(wrap.Blob(SIZE_MAX - 1).empty());  // pos + n wraps past zero
+  EXPECT_FALSE(wrap.ok());
+
+  SnapshotReader exact(three);
+  EXPECT_EQ(exact.Blob(3), three);
+  EXPECT_TRUE(exact.ok());
+  EXPECT_TRUE(exact.AtEnd());
 }
 
 TEST(StringsTest, StrFormat) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/binio.h"
 #include "src/mcu/machine.h"
 #include "src/ota/bootloader.h"
 #include "src/ota/image.h"
@@ -173,6 +174,26 @@ TEST(OtaImageTest, FirmwarePayloadRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->chunks, image.chunks);
   EXPECT_TRUE(back->symbols.empty());
+}
+
+// A chunk size near 2^32 must not wrap the address-space bound and must not
+// be allocated before the payload is known to hold it.
+TEST(OtaImageTest, PayloadChunkBoundsAreCheckedBeforeAllocating) {
+  SnapshotWriter wraps;
+  wraps.U32(1);
+  wraps.U16(0x0010);
+  wraps.U32(0xFFFFFFF0u);  // 0x10 + size wraps to 0 in 32 bits
+  auto result = DecodeFirmwarePayload(wraps.Take());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  SnapshotWriter short_chunk;
+  short_chunk.U32(1);
+  short_chunk.U16(0x4400);
+  short_chunk.U32(0x8000);  // in the address space, but no bytes follow
+  result = DecodeFirmwarePayload(short_chunk.Take());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OtaImageTest, FirmwareImageHashPinsLoadableBytes) {

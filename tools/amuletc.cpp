@@ -95,8 +95,9 @@ const char kFleetHelp[] =
     "  --no-check-opt          build the firmware without the phase-2.5 check\n"
     "                          optimizer (changes the image and firmware hash)\n"
     "  --faults-out FILE       write the merged fault ledger as JSONL\n"
-    "  --checkpoint FILE       persist a resumable checkpoint (atomic rename)\n"
-    "  --checkpoint-every N    checkpoint cadence in completed devices (default: 64)\n"
+    "  --checkpoint FILE       persist a resumable checkpoint: an append-only\n"
+    "                          journal, compacted to one AMFC file at the end\n"
+    "  --checkpoint-every N    journal cadence in completed devices (default: 64)\n"
     "  --resume                continue from --checkpoint FILE if it exists; only\n"
     "                          devices missing from it are simulated\n"
     "  --verbose               progress lines (devices done, rate, ETA) on stderr\n"
@@ -121,7 +122,7 @@ const char kFleetHelp[] =
 const char kFleetMergeHelp[] =
     "usage: amuletc fleet-merge SHARD.ckpt [SHARD2.ckpt ...] [options]\n"
     "\n"
-    "Folds the AMFC checkpoints written by the N shards of one fleet run\n"
+    "Folds the checkpoints written by the N shards of one fleet run\n"
     "(`amuletc fleet --shard I/N --checkpoint ...`, one per host) into a single\n"
     "whole-fleet checkpoint and prints the merged report and digest. The merged\n"
     "digest is byte-identical to a single-host run of the same config, and the\n"
@@ -154,7 +155,8 @@ const char kOtaPackHelp[] =
 const char kFaultsHelp[] =
     "usage: amuletc faults CHECKPOINT [options]\n"
     "\n"
-    "Reads the fault ledger out of an AMFC fleet or campaign checkpoint and\n"
+    "Reads the fault ledger out of a fleet or campaign checkpoint (a finished\n"
+    "run's AMFC file or a running or killed run's AMFJ journal) and\n"
     "prints the top-K crash-bucket triage report: fault kind, faulting PC,\n"
     "scope attribution, device spread, and an exemplar per bucket\n"
     "(docs/observability.md, \"Fault forensics\").\n"
