@@ -1,5 +1,7 @@
 #include "src/apps/app_sources.h"
 
+#include "src/common/strings.h"
+
 namespace amulet {
 
 namespace {
@@ -725,6 +727,20 @@ const AppSpec& QuicksortRecursiveApp() {
 const AppSpec& CrasherApp() {
   static const AppSpec kApp = MakeCrasher();
   return kApp;
+}
+
+Result<const AppSpec*> FindApp(const std::string& name) {
+  for (const AppSpec& app : AmuletAppSuite()) {
+    if (app.name == name) {
+      return &app;
+    }
+  }
+  for (const AppSpec* app : {&SyntheticApp(), &ActivityApp(), &QuicksortApp(), &CrasherApp()}) {
+    if (app->name == name) {
+      return app;
+    }
+  }
+  return NotFoundError(StrFormat("unknown app '%s'", name.c_str()));
 }
 
 }  // namespace amulet

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/os/api.h"
 
 namespace amulet {
@@ -46,6 +47,11 @@ const AppSpec& QuicksortRecursiveApp();
 // to provoke a watchdog-reset storm and exercise bootloader rollback.
 // Requires pointer support (kSoftwareOnly/kMpu).
 const AppSpec& CrasherApp();
+
+// Looks an app up by name among the suite, the benchmark apps and the
+// crasher: every app a fleet, a campaign or `amuletc ota-pack --apps` can
+// install. NotFound for any other name.
+Result<const AppSpec*> FindApp(const std::string& name);
 
 }  // namespace amulet
 

@@ -39,7 +39,8 @@ Status ValidateStages(const std::vector<CampaignStage>& stages) {
                     "got %d after %d",
                     stage.percent, prev));
     }
-    if (stage.max_failure_rate < 0 || stage.max_failure_rate > 1) {
+    // Written so a NaN fails too: `failure_rate > NaN` never aborts a stage.
+    if (!(stage.max_failure_rate >= 0 && stage.max_failure_rate <= 1)) {
       return InvalidArgumentError(
           StrFormat("campaign stage abort threshold %g is outside [0, 1]",
                     stage.max_failure_rate));
@@ -48,6 +49,37 @@ Status ValidateStages(const std::vector<CampaignStage>& stages) {
   }
   if (stages.back().percent != 100) {
     return InvalidArgumentError("the last campaign stage must roll out to 100%");
+  }
+  return OkStatus();
+}
+
+// An authentic caller-supplied image must be this campaign's own `to` build:
+// a device that accepts it goes on to run the campaign's build of to_apps, so
+// an authentic image of another version, model or app mix would be reported
+// as a rollout it is not. An image whose MAC does not verify under the fleet
+// key is left to the devices, whose simulated bootloader rejects it.
+Status CheckDeployImage(const OtaImage& image, const CampaignConfig& config,
+                        const CohortRuntime& to) {
+  if (ComputeOtaMac(config.key, image.payload.data(), image.payload.size()) != image.mac) {
+    return OkStatus();
+  }
+  if (image.firmware_version != config.to_version) {
+    return InvalidArgumentError(
+        StrFormat("deploy image is firmware v%u, but the campaign rolls out v%u",
+                  image.firmware_version, config.to_version));
+  }
+  if (image.model != config.fleet.model) {
+    return InvalidArgumentError(StrFormat(
+        "deploy image targets %s, but the fleet runs %s",
+        std::string(MemoryModelName(image.model)).c_str(),
+        std::string(MemoryModelName(config.fleet.model)).c_str()));
+  }
+  const uint64_t payload_hash = Fnv1a64(image.payload.data(), image.payload.size());
+  if (payload_hash != to.firmware_hash) {
+    return InvalidArgumentError(StrFormat(
+        "deploy image payload %016llx is not the campaign's to_apps build %016llx",
+        static_cast<unsigned long long>(payload_hash),
+        static_cast<unsigned long long>(to.firmware_hash)));
   }
   return OkStatus();
 }
@@ -237,8 +269,8 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   config.to_apps = to->cohort.apps;
 
   // The deployed container: either the freshly packed new firmware or the
-  // caller-supplied bytes (the tamper hook). Decode validates the transport
-  // checksums; authenticity is each device's simulated MAC check.
+  // caller-supplied bytes. Decode validates the transport checksums;
+  // authenticity is each device's simulated MAC check.
   std::vector<uint8_t> deploy_bytes;
   if (config.image_override.empty()) {
     deploy_bytes = EncodeOtaImage(
@@ -247,6 +279,9 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     deploy_bytes = config.image_override;
   }
   ASSIGN_OR_RETURN(OtaImage deploy, DecodeOtaImage(deploy_bytes));
+  if (!config.image_override.empty()) {
+    RETURN_IF_ERROR(CheckDeployImage(deploy, config, *to));
+  }
 
   const int device_count = config.fleet.device_count;
   FleetCheckpoint identity;

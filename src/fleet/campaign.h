@@ -63,7 +63,10 @@ struct CampaignConfig {
   // Per-fleet MAC key. Devices verify the deployed image against this key.
   OtaKey key;
   // When non-empty these container bytes are deployed instead of packing
-  // the to_apps firmware — the hook tests use to ship tampered images.
+  // the to_apps firmware (`amuletc fleet --image`). An image whose MAC
+  // verifies under `key` must carry to_version, fleet.model and the to_apps
+  // build's payload; a forged one is deployed as given and the devices'
+  // bootloaders reject it.
   std::vector<uint8_t> image_override;
 };
 
@@ -122,7 +125,8 @@ std::vector<int> CampaignRolloutOrder(int device_count, uint32_t rollout_seed);
 // Runs the campaign. A stage-threshold abort is NOT an error — the report
 // comes back with aborted_stage set and the untouched devices marked
 // kNotAttempted. Errors mirror RunFleet: unknown apps, firmware build
-// failures, an undecodable deploy image, device failures (fail-fast), or
+// failures, an undecodable deploy image, an authentic deploy image that is
+// not the to_apps build (InvalidArgument), device failures (fail-fast), or
 // kCancelled for the abort_after_devices kill hook.
 Result<CampaignReport> RunCampaign(const CampaignConfig& config);
 

@@ -47,27 +47,6 @@ ActivityMode ModeFor(uint32_t device_seed) {
   }
 }
 
-Result<const AppSpec*> FindSuiteApp(const std::string& name) {
-  for (const AppSpec& app : AmuletAppSuite()) {
-    if (app.name == name) {
-      return &app;
-    }
-  }
-  if (name == SyntheticApp().name) {
-    return &SyntheticApp();
-  }
-  if (name == ActivityApp().name) {
-    return &ActivityApp();
-  }
-  if (name == QuicksortApp().name) {
-    return &QuicksortApp();
-  }
-  if (name == CrasherApp().name) {
-    return &CrasherApp();
-  }
-  return NotFoundError(StrFormat("unknown fleet app '%s'", name.c_str()));
-}
-
 Result<std::vector<AppSource>> ResolveApps(std::vector<std::string>* names) {
   if (names->empty()) {
     for (const AppSpec& app : AmuletAppSuite()) {
@@ -76,7 +55,7 @@ Result<std::vector<AppSource>> ResolveApps(std::vector<std::string>* names) {
   }
   std::vector<AppSource> sources;
   for (const std::string& name : *names) {
-    ASSIGN_OR_RETURN(const AppSpec* spec, FindSuiteApp(name));
+    ASSIGN_OR_RETURN(const AppSpec* spec, FindApp(name));
     sources.push_back({spec->name, spec->source});
   }
   return sources;

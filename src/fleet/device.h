@@ -54,9 +54,6 @@ uint32_t DeviceSeed(uint32_t fleet_seed, int device_id);
 
 ActivityMode ModeFor(uint32_t device_seed);
 
-// Looks a name up in the app suite (plus the benchmark apps).
-Result<const AppSpec*> FindSuiteApp(const std::string& name);
-
 // Expands an empty list to the full suite and resolves every name to its
 // source. On success `names` holds the resolved list.
 Result<std::vector<AppSource>> ResolveApps(std::vector<std::string>* names);

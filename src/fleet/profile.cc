@@ -12,21 +12,6 @@ namespace {
 // device's sensor seed (both are splitmix64 mixes of (fleet_seed, id)).
 constexpr uint64_t kCohortStream = 0xC0F0A57D15717A9Bull;
 
-bool ParseModelWord(const std::string& word, MemoryModel* out) {
-  if (word == "none") {
-    *out = MemoryModel::kNoIsolation;
-  } else if (word == "fl") {
-    *out = MemoryModel::kFeatureLimited;
-  } else if (word == "sw") {
-    *out = MemoryModel::kSoftwareOnly;
-  } else if (word == "mpu") {
-    *out = MemoryModel::kMpu;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<std::string> SplitOn(const std::string& s, char sep) {
   std::vector<std::string> parts;
   std::string part;
@@ -61,6 +46,21 @@ bool ParseWeight(const std::string& word, uint32_t* out) {
 }
 
 }  // namespace
+
+bool ParseModelWord(const std::string& word, MemoryModel* out) {
+  if (word == "none") {
+    *out = MemoryModel::kNoIsolation;
+  } else if (word == "fl") {
+    *out = MemoryModel::kFeatureLimited;
+  } else if (word == "sw") {
+    *out = MemoryModel::kSoftwareOnly;
+  } else if (word == "mpu") {
+    *out = MemoryModel::kMpu;
+  } else {
+    return false;
+  }
+  return true;
+}
 
 uint64_t PopulationProfile::total_weight() const {
   uint64_t total = 0;

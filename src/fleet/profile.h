@@ -56,6 +56,10 @@ struct PopulationProfile {
 //   wearables:90:mpu:pedometer+clock:1/2/1
 Result<Cohort> ParseCohortSpec(const std::string& spec);
 
+// Parses a MODEL word (none|fl|sw|mpu), as cohort specs and amuletc's
+// --model spell it. Returns false, leaving *out untouched, for anything else.
+bool ParseModelWord(const std::string& word, MemoryModel* out);
+
 // Parses a profile file: one cohort spec per line, `#` comments and blank
 // lines ignored. Validates the assembled profile (see ValidateProfile).
 Result<PopulationProfile> ParsePopulationProfile(const std::string& text);

@@ -94,33 +94,6 @@ std::vector<uint8_t> EncodeFirmwarePayload(const Image& image) {
   return w.Take();
 }
 
-Result<Image> DecodeFirmwarePayload(const std::vector<uint8_t>& payload) {
-  SnapshotReader r(payload);
-  Image image;
-  const uint32_t chunk_count = r.U32();
-  for (uint32_t i = 0; r.ok() && i < chunk_count; ++i) {
-    const uint16_t base = r.U16();
-    const uint32_t size = r.U32();
-    if (static_cast<uint64_t>(base) + size > 0x10000) {
-      return InvalidArgumentError(
-          StrFormat("firmware payload chunk [0x%04x, +%u) leaves the address space", base,
-                    size));
-    }
-    std::vector<uint8_t> chunk = r.Blob(size);
-    if (r.ok() && !image.chunks.emplace(base, std::move(chunk)).second) {
-      return InvalidArgumentError(
-          StrFormat("firmware payload repeats chunk base 0x%04x", base));
-    }
-  }
-  if (!r.ok()) {
-    return InvalidArgumentError("firmware payload truncated");
-  }
-  if (!r.AtEnd()) {
-    return InvalidArgumentError("firmware payload has trailing bytes");
-  }
-  return image;
-}
-
 uint64_t FirmwareImageHash(const Image& image) {
   const std::vector<uint8_t> payload = EncodeFirmwarePayload(image);
   return Fnv1a64(payload.data(), payload.size());

@@ -60,7 +60,6 @@ Result<OtaImage> DecodeOtaImage(const std::vector<uint8_t>& bytes);
 // (u32 chunk count, then u16 base | u32 length | bytes per chunk). Symbols
 // are host-side metadata and are not flashed, so they are not packed.
 std::vector<uint8_t> EncodeFirmwarePayload(const Image& image);
-Result<Image> DecodeFirmwarePayload(const std::vector<uint8_t>& payload);
 
 // FNV-1a 64 over EncodeFirmwarePayload(image): a stable fingerprint of the
 // bytes that would be flashed. Folded into FleetConfigHash so a checkpoint

@@ -5,6 +5,7 @@
 // version-1 migration error, exhaustive corruption sweep).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,14 +45,9 @@ std::vector<uint8_t> PackedImageFor(const std::vector<std::string>& apps,
                                     const OtaKey& key) {
   std::vector<AppSource> sources;
   for (const std::string& name : apps) {
-    for (const AppSpec& app : AmuletAppSuite()) {
-      if (app.name == name) {
-        sources.push_back({app.name, app.source});
-      }
-    }
-    if (name == CrasherApp().name) {
-      sources.push_back({CrasherApp().name, CrasherApp().source});
-    }
+    auto app = FindApp(name);
+    EXPECT_TRUE(app.ok()) << app.status().ToString();
+    sources.push_back({(*app)->name, (*app)->source});
   }
   AftOptions options;
   options.model = model;
@@ -258,6 +254,21 @@ TEST(CampaignTest, ValidatesConfig) {
   CampaignConfig bad_threshold = SmallCampaign(1);
   bad_threshold.stages = {{100, 1.5}};
   EXPECT_EQ(RunCampaign(bad_threshold).status().code(), StatusCode::kInvalidArgument);
+  bad_threshold.stages = {{100, std::nan("")}};  // would never abort the stage
+  EXPECT_EQ(RunCampaign(bad_threshold).status().code(), StatusCode::kInvalidArgument);
+
+  // An authentic image must be the campaign's own build: a later version,
+  // another app list, or another model is rejected before any device runs.
+  const CampaignConfig base = SmallCampaign(1);
+  for (const std::vector<uint8_t>& image :
+       {PackedImageFor(base.fleet.apps, base.fleet.model, base.to_version + 1, base.key),
+        PackedImageFor({"pedometer", "clock"}, base.fleet.model, base.to_version, base.key),
+        PackedImageFor(base.fleet.apps, MemoryModel::kSoftwareOnly, base.to_version,
+                       base.key)}) {
+    CampaignConfig mismatched = SmallCampaign(1);
+    mismatched.image_override = image;
+    EXPECT_EQ(RunCampaign(mismatched).status().code(), StatusCode::kInvalidArgument);
+  }
 
   CampaignConfig bad_storm = SmallCampaign(1);
   bad_storm.storm_threshold = 0;
