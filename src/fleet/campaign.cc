@@ -143,13 +143,18 @@ struct CampaignContext {
   const CampaignConfig* config = nullptr;
   const CohortRuntime* from = nullptr;  // old firmware
   const CohortRuntime* to = nullptr;    // new firmware
-  const OtaImage* deploy = nullptr;
+  // The bootloader's MAC verification of the deployed image, simulated once
+  // per campaign: its inputs (container, key, FRAM wait states, core) are
+  // campaign constants and the simulation is deterministic, so every device
+  // would compute the same verdict and cycle bill.
+  MacVerifyRun verify;
 };
 
 // One device's full campaign experience: normal workload on the old
-// firmware, bootloader MAC verification of the staged image on the simulated
-// CPU, and — if the image is authentic — activation of the new bank plus a
-// health window in which a watchdog-reset storm rolls the device back.
+// firmware, the bootloader's MAC verdict on the staged image (charged at the
+// simulated verifier's cycle cost), and — if the image is authentic —
+// activation of the new bank plus a health window in which a watchdog-reset
+// storm rolls the device back.
 Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
                          CampaignDeviceRow* row, FaultLedger* ledger) {
   const CampaignConfig& config = *ctx.config;
@@ -164,15 +169,11 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
   RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.from->regions, &row->stats, ledger));
 
   // Phase 2: the bootloader verifies the staged image's MAC as simulated
-  // MSP430 code; the cycle cost is this device's genuine verification bill.
-  ASSIGN_OR_RETURN(
-      MacVerifyRun verify,
-      SimulateImageVerify(*ctx.deploy, config.key, config.fleet.fram_wait_states,
-                          config.fleet.predecode));
-  row->verify_cycles = verify.cycles;
+  // MSP430 code; its cycle cost is this device's verification bill.
+  row->verify_cycles = ctx.verify.cycles;
   uint64_t span_ms = config.fleet.sim_ms;
 
-  if (!verify.accepted) {
+  if (!ctx.verify.accepted) {
     row->outcome = OtaOutcome::kRejected;
   } else {
     // Phase 3: activate bank B and watch the health window. The health
@@ -270,7 +271,8 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
 
   // The deployed container: either the freshly packed new firmware or the
   // caller-supplied bytes. Decode validates the transport checksums;
-  // authenticity is each device's simulated MAC check.
+  // authenticity is the simulated bootloader's MAC check, whose verdict
+  // every attempted device applies.
   std::vector<uint8_t> deploy_bytes;
   if (config.image_override.empty()) {
     deploy_bytes = EncodeOtaImage(
@@ -335,7 +337,6 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   ctx.config = &config;
   ctx.from = from.get();
   ctx.to = to.get();
-  ctx.deploy = &deploy;
   auto body = [&](int id, MetricRegistry* metrics, FaultLedger* ledger) -> Status {
     CampaignDeviceRow row;
     RETURN_IF_ERROR(RunCampaignDevice(id, ctx, &row, ledger));
@@ -349,6 +350,11 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   // rows included) — so a resumed campaign replays identical abort decisions.
   const std::vector<int> order = CampaignRolloutOrder(device_count, config.rollout_seed);
   const auto run_t0 = std::chrono::steady_clock::now();
+  // Timed with the run, as the per-device verifications it replaces were. A
+  // verifier error fails the campaign before any device runs.
+  ASSIGN_OR_RETURN(ctx.verify, SimulateImageVerify(deploy, config.key,
+                                                   config.fleet.fram_wait_states,
+                                                   config.fleet.predecode));
   size_t stage_begin = 0;
   for (size_t s = 0; s < config.stages.size(); ++s) {
     const CampaignStage& stage = config.stages[s];

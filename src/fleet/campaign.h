@@ -6,7 +6,9 @@
 //
 //   1. runs its normal workload on the old firmware for fleet.sim_ms,
 //   2. has its bootloader verify the image's MAC as real MSP430 code on the
-//      simulated CPU (the cycles land in the device's energy accounting),
+//      simulated CPU (simulated once per campaign, since every device's
+//      verifier sees the same inputs; each attempted device is charged its
+//      cycles as verify_cycles, outside battery_impact_percent),
 //   3. if the MAC is rejected, stays on from_version (outcome kRejected),
 //   4. otherwise activates the new bank, writes the bl-data record, and runs
 //      a health window of health_ms; a watchdog-reset storm (>=

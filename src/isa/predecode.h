@@ -26,15 +26,23 @@ enum class InsnClass : uint8_t {
   kInvalid,
 };
 
-// Number of distinct fast-dispatch handler slots: 12 Format-I opcodes,
-// 7 Format-II opcodes, 8 jump conditions, then specialized slots for the
-// operand classes that dominate compiled code and touch no memory --
-// 12 Format-I slots (register destination; register/constant/immediate
-// source) and 4 Format-II slots (RRC/SWPB/RRA/SXT on a register) -- executed
-// without the generic operand machinery.
+// Fast-dispatch handler slots: 12 Format-I opcodes, 7 Format-II opcodes and
+// 8 jump conditions on the generic operand machinery, then specialized slots
+// for the operand shapes that dominate compiled code, each executed with its
+// addressing mode resolved at predecode:
+//   * register destination, one row of 12 Format-I slots per source shape:
+//     row 0 register/constant/immediate (byte and word), rows 1..4 the word
+//     memory sources x(Rn), &abs, @Rn and @Rn+ (no DADD);
+//   * RRC/SWPB/RRA/SXT on a register (4 slots);
+//   * word MOV of a register, constant or immediate into x(Rn) or &abs
+//     (2 slots).
+// Byte memory operands, symbolic operands and memory destinations of the
+// other opcodes keep the generic slots.
 inline constexpr int kFastAluRegDstBase = 27;
-inline constexpr int kFastFmt2RegBase = kFastAluRegDstBase + 12;
-inline constexpr int kNumFastHandlers = kFastFmt2RegBase + 4;
+inline constexpr int kFastSourceRows = 5;
+inline constexpr int kFastFmt2RegBase = kFastAluRegDstBase + 12 * kFastSourceRows;
+inline constexpr int kFastMovStoreBase = kFastFmt2RegBase + 4;
+inline constexpr int kNumFastHandlers = kFastMovStoreBase + 2;
 
 struct PredecodedInsn {
   // Fully resolved instruction: extension words are already filled in from

@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/mcu/bus-inl.h"
 #include "src/mcu/code_cache.h"
 #include "src/mcu/mpu.h"
 #include "src/mcu/snapshot.h"
@@ -11,12 +12,6 @@
 #include "src/scope/probe.h"
 
 namespace amulet {
-
-namespace {
-// Value returned for refused/unmapped reads; an out-of-thin-air pattern that
-// is easy to spot in traces (and decodes to a CMP, never silently useful).
-constexpr uint16_t kRefusedReadValue = 0x3FFF;
-}  // namespace
 
 Bus::Bus() = default;
 
@@ -74,69 +69,26 @@ uint8_t* Bus::BackingFor(uint16_t addr, AccessKind kind, bool* writable) {
   return nullptr;  // hole (0x1A00-0x1BFF, 0x2400-0x43FF)
 }
 
-void Bus::InvalidateCode(uint16_t addr) {
-  if (code_cache_ != nullptr) {
-    code_cache_->InvalidateWord(addr);
-  }
-}
-
-uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
-  addr &= ~uint16_t{1};
-  AddFramPenalty(addr);
-  const bool data = kind != AccessKind::kFetch;
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    if (data) {
-      Count(addr);
-    }
-    return kRefusedReadValue;
-  }
+uint16_t Bus::ReadWordSlow(uint16_t addr, AccessKind kind) {
   if (const MappedDevice* mapped = DeviceFor(addr)) {
-    if (!data) {
+    if (kind == AccessKind::kFetch) {
       fault_ = BusFault::kFetchFromPeriph;
       return kRefusedReadValue;
     }
     Count(addr);
     return mapped->device->ReadWord(static_cast<uint16_t>(addr - mapped->base));
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return kRefusedReadValue;
-  }
-  if (data) {
-    Count(addr);
-  }
-  return static_cast<uint16_t>(backing[0] | (backing[1] << 8));
+  fault_ = BusFault::kUnmapped;  // a hole, or register space with no device
+  return kRefusedReadValue;
 }
 
-void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
-  addr &= ~uint16_t{1};
-  AddFramPenalty(addr);
-  AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
-    Count(addr);
-    return;  // blocked; violation latched in the MPU
-  }
+void Bus::WriteWordSlow(uint16_t addr, uint16_t value) {
   if (const MappedDevice* mapped = DeviceFor(addr)) {
     Count(addr);
     mapped->device->WriteWord(static_cast<uint16_t>(addr - mapped->base), value);
     return;
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return;
-  }
-  if (!writable) {
-    fault_ = BusFault::kWriteToRom;
-    return;
-  }
-  Count(addr);
-  backing[0] = static_cast<uint8_t>(value & 0xFF);
-  backing[1] = static_cast<uint8_t>(value >> 8);
-  InvalidateCode(addr);
+  fault_ = InRange(addr, kBslStart, kBslEnd) ? BusFault::kWriteToRom : BusFault::kUnmapped;
 }
 
 uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {

@@ -103,9 +103,11 @@ class Bus {
 
   // CPU-facing accessors. Word addresses have bit 0 ignored (as on the real
   // part). An MPU refusal yields value 0x3FFF on reads and drops writes; the
-  // violation is latched in the MPU, not reported here.
-  uint16_t ReadWord(uint16_t addr, AccessKind kind);
-  void WriteWord(uint16_t addr, uint16_t value, AccessKind kind);
+  // violation is latched in the MPU, not reported here. The word accessors
+  // are inline and defined in src/mcu/bus-inl.h: include it where they are
+  // called.
+  inline uint16_t ReadWord(uint16_t addr, AccessKind kind);
+  inline void WriteWord(uint16_t addr, uint16_t value, AccessKind kind);
   uint8_t ReadByte(uint16_t addr, AccessKind kind);
   void WriteByte(uint16_t addr, uint8_t value, AccessKind kind);
 
@@ -127,6 +129,23 @@ class Bus {
   void LoadState(SnapshotReader& r);
 
  private:
+  // Value returned for refused/unmapped reads; an out-of-thin-air pattern
+  // that is easy to spot in traces (and decodes to a CMP, never silently
+  // useful).
+  static constexpr uint16_t kRefusedReadValue = 0x3FFF;
+
+  // Plain memory the CPU may store into: plain memory minus the BSL stub.
+  static bool IsWritableMemory(uint16_t addr) {
+    const uint32_t a = addr;
+    return a >= kFramStart || IsSram(a) || IsInfoMem(a);
+  }
+
+  // The out-of-line halves of ReadWord/WriteWord, reached only after the
+  // MPU has permitted the access: the register space (devices) and the
+  // faults (holes, stores into the BSL stub).
+  uint16_t ReadWordSlow(uint16_t addr, AccessKind kind);
+  void WriteWordSlow(uint16_t addr, uint16_t value);
+
   // Returns backing storage for a plain-memory address, or nullptr if the
   // address belongs to a device/hole.
   uint8_t* BackingFor(uint16_t addr, AccessKind kind, bool* writable);
@@ -154,8 +173,9 @@ class Bus {
   }
 
   // Invalidates code-cache entries covering `addr` (no-op when no cache is
-  // registered). Called from every path that mutates mem_.
-  void InvalidateCode(uint16_t addr);
+  // registered). Called from every path that mutates mem_. Inline, in
+  // bus-inl.h.
+  inline void InvalidateCode(uint16_t addr);
 
   std::array<uint8_t, 0x10000> mem_{};  // flat backing store for all memory regions
   std::vector<MappedDevice> devices_;

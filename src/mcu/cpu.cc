@@ -3,6 +3,7 @@
 #include "src/isa/cycles.h"
 #include "src/mcu/snapshot.h"
 #include "src/isa/encoding.h"
+#include "src/mcu/bus-inl.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/mpu.h"
 #include "src/scope/flight_recorder.h"
@@ -506,22 +507,47 @@ StepResult Cpu::StepSlow(uint16_t insn_addr) {
   return StepResult::kOk;
 }
 
-// Specialized Format-I execution for register destinations with
-// register/constant/immediate sources: no bus access can occur, so the
-// generic ReadOperand/Loc/WriteToLoc machinery collapses into direct
-// register-file reads and writes. Every flag computation, its ordering
-// relative to the destination write (visible when the destination is SR),
-// the byte-mode high-byte clear, and the PC bit-0 clear in set_reg() mirror
+template <AddrMode kMode>
+uint16_t Cpu::OperandAddress(const Operand& op) {
+  if constexpr (kMode == AddrMode::kIndexed) {
+    return static_cast<uint16_t>(reg(op.reg) + op.ext);
+  } else if constexpr (kMode == AddrMode::kAbsolute) {
+    return op.ext;
+  } else if constexpr (kMode == AddrMode::kIndirect) {
+    return reg(op.reg);
+  } else {
+    static_assert(kMode == AddrMode::kIndirectAutoInc);
+    const uint16_t addr = reg(op.reg);
+    set_reg(op.reg, static_cast<uint16_t>(addr + 2));
+    return addr;
+  }
+}
+
+// Specialized Format-I execution for register destinations. With a
+// register/constant/immediate source no bus access can occur; with a word
+// memory source the only one is the source read, straight through
+// Bus::ReadWord. Either way the generic ReadOperand/Loc/WriteToLoc machinery
+// collapses into direct register-file reads and writes. The source is read
+// before the destination (an @Rn+ source may step the destination
+// register), and every flag computation, its ordering relative to the
+// destination write (visible when the destination is SR), the byte-mode
+// high-byte clear, and the PC bit-0 clear in set_reg() mirror
 // ExecuteFormatOne exactly.
-template <Opcode kOp>
+template <Opcode kOp, AddrMode kSrc>
 void Cpu::FastAluRegDst(const PredecodedInsn& pd, uint16_t insn_addr) {
   (void)insn_addr;
   const Instruction& insn = pd.insn;
-  const bool byte = insn.byte;
+  // Memory-source slots are selected for word forms only.
+  const bool byte = kSrc == AddrMode::kRegister && insn.byte;
   const uint16_t mask = Mask(byte);
   const uint16_t sign = SignBit(byte);
-  const uint16_t s = static_cast<uint16_t>(
-      (insn.src.mode == AddrMode::kRegister ? reg(insn.src.reg) : insn.src.ext) & mask);
+  uint16_t s;
+  if constexpr (kSrc == AddrMode::kRegister) {
+    s = static_cast<uint16_t>(
+        (insn.src.mode == AddrMode::kRegister ? reg(insn.src.reg) : insn.src.ext) & mask);
+  } else {
+    s = bus_->ReadWord(OperandAddress<kSrc>(insn.src), AccessKind::kRead);
+  }
   const Reg dst = insn.dst.reg;
   const uint16_t d = static_cast<uint16_t>(reg(dst) & mask);
 
@@ -664,6 +690,18 @@ void Cpu::FastFmt2Reg(const PredecodedInsn& pd, uint16_t insn_addr) {
   }
 }
 
+// Word MOV of a register/constant/immediate into memory: the source needs
+// no bus access, so the store is the instruction's only one, straight
+// through Bus::WriteWord (ExecuteFormatOne's MOV resolves the destination
+// without reading it, and so does this).
+template <AddrMode kDst>
+void Cpu::FastMovStore(const PredecodedInsn& pd, uint16_t insn_addr) {
+  (void)insn_addr;
+  const Instruction& insn = pd.insn;
+  const uint16_t s = insn.src.mode == AddrMode::kRegister ? reg(insn.src.reg) : insn.src.ext;
+  bus_->WriteWord(OperandAddress<kDst>(insn.dst), s, AccessKind::kWrite);
+}
+
 namespace {
 // Trampoline turning a compile-time member-function pointer into a plain
 // function the dispatch table can hold; the handler inlines into it.
@@ -673,9 +711,26 @@ void Dispatch(Cpu& cpu, const PredecodedInsn& pd, uint16_t insn_addr) {
 }
 }  // namespace
 
-// Slot layout must match FastHandlerIndex(): Format I 0..11, Format II
-// 12..18, jumps 19..26, then the specialized handlers at
-// kFastAluRegDstBase + (op - kMov) and kFastFmt2RegBase + (op - kRrc).
+// One row of register-destination slots for source shape `src`, in Format-I
+// opcode order. DADD has no memory-source specialization, so `dadd` names
+// the handler of its slot.
+#define AMULET_ALU_REG_DST_ROW(src, dadd)                                   \
+  &Dispatch<&Cpu::FastAluRegDst<Opcode::kMov, AddrMode::src>>,             \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kAdd, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kAddc, AddrMode::src>>,        \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kSubc, AddrMode::src>>,        \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kSub, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kCmp, AddrMode::src>>, dadd,   \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kBit, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kBic, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kBis, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kXor, AddrMode::src>>,         \
+      &Dispatch<&Cpu::FastAluRegDst<Opcode::kAnd, AddrMode::src>>
+
+// Slot layout must match FastHandlerIndex() and PredecodeInto(): Format I
+// 0..11, Format II 12..18, jumps 19..26, then the specialized handlers at
+// kFastAluRegDstBase + 12 * row + (op - kMov) for the source rows below,
+// kFastFmt2RegBase + (op - kRrc) and kFastMovStoreBase + {x(Rn), &abs}.
 const std::array<Cpu::FastHandler, kNumFastHandlers> Cpu::kFastDispatch = {{
     // MOV ADD ADDC SUBC SUB CMP DADD BIT BIC BIS XOR AND
     &Dispatch<&Cpu::FastFormatOne>, &Dispatch<&Cpu::FastFormatOne>,
@@ -693,17 +748,22 @@ const std::array<Cpu::FastHandler, kNumFastHandlers> Cpu::kFastDispatch = {{
     &Dispatch<&Cpu::FastJump>, &Dispatch<&Cpu::FastJump>, &Dispatch<&Cpu::FastJump>,
     &Dispatch<&Cpu::FastJump>, &Dispatch<&Cpu::FastJump>, &Dispatch<&Cpu::FastJump>,
     &Dispatch<&Cpu::FastJump>, &Dispatch<&Cpu::FastJump>,
-    // Register-destination specializations, same opcode order as Format I.
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kMov>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kAdd>>,
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kAddc>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kSubc>>,
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kSub>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kCmp>>,
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kDadd>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kBit>>,
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kBic>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kBis>>,
-    &Dispatch<&Cpu::FastAluRegDst<Opcode::kXor>>, &Dispatch<&Cpu::FastAluRegDst<Opcode::kAnd>>,
+    // Register destination; source rows register/constant/immediate, x(Rn),
+    // &abs, @Rn, @Rn+.
+    AMULET_ALU_REG_DST_ROW(kRegister,
+                           (&Dispatch<&Cpu::FastAluRegDst<Opcode::kDadd, AddrMode::kRegister>>)),
+    AMULET_ALU_REG_DST_ROW(kIndexed, &Dispatch<&Cpu::FastFormatOne>),
+    AMULET_ALU_REG_DST_ROW(kAbsolute, &Dispatch<&Cpu::FastFormatOne>),
+    AMULET_ALU_REG_DST_ROW(kIndirect, &Dispatch<&Cpu::FastFormatOne>),
+    AMULET_ALU_REG_DST_ROW(kIndirectAutoInc, &Dispatch<&Cpu::FastFormatOne>),
     // Register-operand Format-II specializations: RRC SWPB RRA SXT.
     &Dispatch<&Cpu::FastFmt2Reg<Opcode::kRrc>>, &Dispatch<&Cpu::FastFmt2Reg<Opcode::kSwpb>>,
     &Dispatch<&Cpu::FastFmt2Reg<Opcode::kRra>>, &Dispatch<&Cpu::FastFmt2Reg<Opcode::kSxt>>,
+    // Word MOV stores: x(Rn), &abs.
+    &Dispatch<&Cpu::FastMovStore<AddrMode::kIndexed>>,
+    &Dispatch<&Cpu::FastMovStore<AddrMode::kAbsolute>>,
 }};
+#undef AMULET_ALU_REG_DST_ROW
 
 void Cpu::FastFormatOne(const PredecodedInsn& pd, uint16_t insn_addr) {
   (void)insn_addr;

@@ -144,18 +144,30 @@ class Cpu {
   void FastFormatOne(const PredecodedInsn& pd, uint16_t insn_addr);
   void FastFormatTwo(const PredecodedInsn& pd, uint16_t insn_addr);
   void FastJump(const PredecodedInsn& pd, uint16_t insn_addr);
-  // Specialized Format-I handler for the dominant operand class -- register
-  // destination with a register/constant/immediate source (slots
-  // kFastAluRegDstBase..+11, selected by PredecodeInto). Skips the generic
-  // operand-resolution machinery while mirroring ExecuteFormatOne's flag
-  // order and write semantics exactly (cpu_semantics_test + the differential
-  // fuzzer hold it to the interpreter byte-for-byte).
-  template <Opcode kOp>
+  // Specialized Format-I handler for a register destination (slots
+  // kFastAluRegDstBase + 12 * row + (op - kMov), selected by PredecodeInto).
+  // kSrc is kRegister for a register/constant/immediate source (row 0, byte
+  // or word) or the mode of a word memory source: kIndexed, kAbsolute,
+  // kIndirect or kIndirectAutoInc (rows 1..4). Skips the generic
+  // operand-resolution machinery while mirroring ExecuteFormatOne's operand
+  // order, flag order and write semantics exactly (cpu_semantics_test + the
+  // differential fuzzer hold it to the interpreter byte-for-byte).
+  template <Opcode kOp, AddrMode kSrc>
   void FastAluRegDst(const PredecodedInsn& pd, uint16_t insn_addr);
   // Specialized register-operand RRC/SWPB/RRA/SXT (slots
   // kFastFmt2RegBase..+3); same contract as FastAluRegDst.
   template <Opcode kOp>
   void FastFmt2Reg(const PredecodedInsn& pd, uint16_t insn_addr);
+  // Specialized word MOV of a register/constant/immediate into an x(Rn)
+  // (kDst = kIndexed) or &abs (kDst = kAbsolute) destination (slots
+  // kFastMovStoreBase..+1); same contract as FastAluRegDst.
+  template <AddrMode kDst>
+  void FastMovStore(const PredecodedInsn& pd, uint16_t insn_addr);
+  // Effective address of a word memory operand whose mode is fixed by the
+  // dispatch slot, so no mode switch runs per step. An @Rn+ operand steps
+  // its register before the access, as ReadOperand does.
+  template <AddrMode kMode>
+  uint16_t OperandAddress(const Operand& op);
   // Plain function pointers, not pointers-to-member: a member-pointer call
   // through a table pays the Itanium-ABI virtual-adjustment test on every
   // dispatch. The table holds trampolines that inline the handlers.

@@ -5,12 +5,16 @@
 // an update can roll the device back.
 //
 // The expensive part — verifying a pending image's MAC — runs as genuine
-// MSP430 code on the simulated CPU (SimulateMacVerify), so its cost lands in
-// the same cycle/energy accounting as everything else the paper measures.
+// MSP430 code on the simulated CPU (SimulateMacVerify), so its cost is
+// measured in simulated cycles like everything else the paper measures.
 // The host stages the image into an FRAM window chunk by chunk (standing in
 // for the radio/DMA path, which the real bootloader also gets for free) and
 // the simulated verifier absorbs every word; the host-side reference MAC
-// (src/ota/mac.h) and the simulated one must agree bit-for-bit.
+// (src/ota/mac.h) and the simulated one must agree bit-for-bit. A campaign
+// (src/fleet/campaign.h) simulates the verification once per run and
+// charges its cycles to every attempted device as `verify_cycles`; they are
+// not part of a device's battery_impact_percent. bench_ota prints the
+// verification's energy bill.
 #ifndef SRC_OTA_BOOTLOADER_H_
 #define SRC_OTA_BOOTLOADER_H_
 

@@ -16,6 +16,7 @@
 #include "src/fleet/campaign.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/fleet.h"
+#include "src/ota/bootloader.h"
 #include "src/ota/image.h"
 
 namespace amulet {
@@ -56,8 +57,26 @@ std::vector<uint8_t> PackedImageFor(const std::vector<std::string>& apps,
   return EncodeOtaImage(PackOtaImage(firmware->image, version, model, key));
 }
 
+// The verification cycles one simulated bootloader run charges for `image`
+// under `config`: what every attempted device of the campaign is billed.
+uint64_t OneVerification(const std::vector<uint8_t>& image, const CampaignConfig& config) {
+  auto deploy = DecodeOtaImage(image);
+  if (!deploy.ok()) {
+    ADD_FAILURE() << deploy.status().ToString();
+    return 0;
+  }
+  auto verify = SimulateImageVerify(*deploy, config.key, config.fleet.fram_wait_states,
+                                    config.fleet.predecode);
+  if (!verify.ok()) {
+    ADD_FAILURE() << verify.status().ToString();
+    return 0;
+  }
+  return verify->cycles;
+}
+
 TEST(CampaignTest, HappyPathUpdatesEveryDevice) {
-  auto report = RunCampaign(SmallCampaign(1));
+  const CampaignConfig config = SmallCampaign(1);
+  auto report = RunCampaign(config);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->aborted_stage, -1);
   ASSERT_EQ(report->devices.size(), 12u);
@@ -85,6 +104,13 @@ TEST(CampaignTest, HappyPathUpdatesEveryDevice) {
   const LogHistogram* verify = report->metrics.histogram("device.verify_cycles");
   ASSERT_NE(verify, nullptr);
   EXPECT_EQ(verify->count, 12u);
+  // Every device is billed one verification of the deployed container.
+  const uint64_t one = OneVerification(
+      PackedImageFor(config.fleet.apps, config.fleet.model, config.to_version, config.key),
+      config);
+  for (const CampaignDeviceRow& row : report->devices) {
+    EXPECT_EQ(row.verify_cycles, one);
+  }
 }
 
 TEST(CampaignTest, DigestIsThreadCountIndependent) {
@@ -144,10 +170,12 @@ TEST(CampaignTest, TamperedImageIsRejectedFleetWide) {
 
   auto report = RunCampaign(config);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const uint64_t one = OneVerification(*tampered, config);
   for (const CampaignDeviceRow& row : report->devices) {
     EXPECT_EQ(row.outcome, OtaOutcome::kRejected);
     EXPECT_EQ(row.firmware_version, 3u) << "no device may run the tampered version";
     EXPECT_GT(row.verify_cycles, 0u);
+    EXPECT_EQ(row.verify_cycles, one) << "every device is billed one verification";
   }
   EXPECT_EQ(report->metrics.counter("campaign.rejected"), 12u);
   EXPECT_EQ(report->metrics.counter("campaign.version.4"), 0u);

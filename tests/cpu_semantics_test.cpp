@@ -1,11 +1,14 @@
 // Exhaustive architectural semantics: every ALU instruction driven through
 // edge-case operand pairs with hand-computed results and C/Z/N/V flags,
-// in both word and byte widths. These lock the CPU core against regressions;
-// the MSP430 flag rules (notably C as not-borrow on SUB/CMP, and C = !Z on
-// logical ops) are easy to get subtly wrong.
+// in both word and byte widths, on the fast core and the interpreter, with
+// word sources also read from memory through every memory addressing mode.
+// These lock the CPU core against regressions; the MSP430 flag rules
+// (notably C as not-borrow on SUB/CMP, and C = !Z on logical ops) are easy
+// to get subtly wrong.
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 #include "src/asm/assembler.h"
 #include "src/common/strings.h"
@@ -48,38 +51,88 @@ std::string CaseName(const AluCase& c) {
                    c.byte ? ".b" : "", c.src, c.dst_in, c.carry_in ? 1 : 0);
 }
 
+// The shapes a case's source operand takes: the register form the
+// expectations are written for and, for word cases, the same value read from
+// memory at kSrcAddr through each memory addressing mode. The fast core has
+// a dispatch slot per word memory shape, so each one is held to the
+// register form on both cores.
+constexpr uint16_t kSrcAddr = 0x2000;
+
+struct SourceShape {
+  const char* name;
+  Operand operand;
+  uint16_t r5;  // r5 before the step; the value itself for the register form
+  uint16_t r5_after;
+};
+
+std::vector<SourceShape> SourceShapes(bool byte, uint16_t src) {
+  std::vector<SourceShape> shapes = {{"r5", RegOp(Reg::kR5), src, src}};
+  if (!byte) {
+    shapes.push_back({"6(r5)", IndexedOp(Reg::kR5, 6), kSrcAddr - 6, kSrcAddr - 6});
+    shapes.push_back({"&abs", AbsoluteOp(kSrcAddr), 0x0505, 0x0505});
+    shapes.push_back({"@r5", IndirectOp(Reg::kR5), kSrcAddr, kSrcAddr});
+    shapes.push_back({"@r5+", IndirectAutoIncOp(Reg::kR5), kSrcAddr, kSrcAddr + 2});
+  }
+  return shapes;
+}
+
+// Loads `<op>[.b] <shape>, r4` at 0x4400 with `src` at kSrcAddr, ready to
+// single-step on the chosen core.
+void LoadAluStep(Machine* m, Opcode op, bool byte, const SourceShape& shape, uint16_t src,
+                 bool predecode) {
+  m->cpu().set_predecode(predecode);
+  Instruction insn;
+  insn.op = op;
+  insn.byte = byte;
+  insn.src = shape.operand;
+  insn.dst = RegOp(Reg::kR4);
+  auto words = Encode(insn);
+  ASSERT_TRUE(words.ok());
+  for (size_t i = 0; i < words->size(); ++i) {
+    m->bus().PokeWord(static_cast<uint16_t>(0x4400 + 2 * i), (*words)[i]);
+  }
+  m->bus().PokeWord(kSrcAddr, src);
+  m->bus().PokeWord(kResetVector, 0x4400);
+  m->cpu().Reset();
+  m->cpu().set_reg(Reg::kR5, shape.r5);
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(AluSemantics, MatchesArchitecture) {
   const AluCase& c = GetParam();
-  Machine m;
-  // Build:  <op>[.b] r5, r4  at 0x4400, then a stop (never reached: single step).
-  Instruction insn;
-  insn.op = c.op;
-  insn.byte = c.byte;
-  insn.src = RegOp(Reg::kR5);
-  insn.dst = RegOp(Reg::kR4);
-  auto words = Encode(insn);
-  ASSERT_TRUE(words.ok());
-  m.bus().PokeWord(0x4400, (*words)[0]);
-  m.bus().PokeWord(kResetVector, 0x4400);
-  m.cpu().Reset();
-  m.cpu().set_reg(Reg::kR5, c.src);
-  m.cpu().set_reg(Reg::kR4, c.dst_in);
-  m.cpu().set_reg(Reg::kSr, c.carry_in ? kSrCarry : 0);
-  ASSERT_EQ(m.cpu().Step(), StepResult::kOk) << CaseName(c);
+  for (const SourceShape& shape : SourceShapes(c.byte, c.src)) {
+    for (const bool predecode : {true, false}) {
+      SCOPED_TRACE(StrFormat("%s, source %s, %s core", CaseName(c).c_str(), shape.name,
+                             predecode ? "fast" : "interpreter"));
+      Machine m;
+      ASSERT_NO_FATAL_FAILURE(LoadAluStep(&m, c.op, c.byte, shape, c.src, predecode));
+      m.cpu().set_reg(Reg::kR4, c.dst_in);
+      m.cpu().set_reg(Reg::kSr, c.carry_in ? kSrCarry : 0);
+      ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
 
-  const bool writes = c.op != Opcode::kCmp && c.op != Opcode::kBit;
-  if (writes) {
-    EXPECT_EQ(m.cpu().reg(Reg::kR4), c.expect) << CaseName(c);
-  } else {
-    EXPECT_EQ(m.cpu().reg(Reg::kR4), c.dst_in) << CaseName(c) << " must not write";
+      const bool writes = c.op != Opcode::kCmp && c.op != Opcode::kBit;
+      if (writes) {
+        EXPECT_EQ(m.cpu().reg(Reg::kR4), c.expect);
+      } else {
+        EXPECT_EQ(m.cpu().reg(Reg::kR4), c.dst_in) << "must not write";
+      }
+      EXPECT_EQ(m.cpu().reg(Reg::kR5), shape.r5_after);
+      const uint16_t sr = m.cpu().sr();
+      if (c.c >= 0) {
+        EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << "C";
+      }
+      if (c.z >= 0) {
+        EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << "Z";
+      }
+      if (c.n >= 0) {
+        EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << "N";
+      }
+      if (c.v >= 0) {
+        EXPECT_EQ((sr & kSrOverflow) != 0, c.v == 1) << "V";
+      }
+    }
   }
-  const uint16_t sr = m.cpu().sr();
-  if (c.c >= 0) EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << CaseName(c) << " C";
-  if (c.z >= 0) EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << CaseName(c) << " Z";
-  if (c.n >= 0) EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << CaseName(c) << " N";
-  if (c.v >= 0) EXPECT_EQ((sr & kSrOverflow) != 0, c.v == 1) << CaseName(c) << " V";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,25 +186,22 @@ INSTANTIATE_TEST_SUITE_P(
         Alu(Opcode::kDadd, false, 0x9999, 0x0001, 0, 0x0000, 1, 1, 0, -1),
         Alu(Opcode::kDadd, false, 0x0001, 0x0009, 1, 0x0011, 0, 0, 0, -1, 0x8B)));
 
-// BIS/BIC/MOV must preserve flags exactly.
+// BIS/BIC/MOV must preserve flags exactly, whatever the source shape.
 TEST(FlagPreservationTest, MovBisBicDontTouchSr) {
   for (Opcode op : {Opcode::kMov, Opcode::kBis, Opcode::kBic}) {
-    Machine m;
-    Instruction insn;
-    insn.op = op;
-    insn.src = RegOp(Reg::kR5);
-    insn.dst = RegOp(Reg::kR4);
-    auto words = Encode(insn);
-    ASSERT_TRUE(words.ok());
-    m.bus().PokeWord(0x4400, (*words)[0]);
-    m.bus().PokeWord(kResetVector, 0x4400);
-    m.cpu().Reset();
-    const uint16_t all_flags = kSrCarry | kSrZero | kSrNegative | kSrOverflow;
-    m.cpu().set_reg(Reg::kSr, all_flags);
-    m.cpu().set_reg(Reg::kR5, 0x1234);
-    m.cpu().set_reg(Reg::kR4, 0x00FF);
-    ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
-    EXPECT_EQ(m.cpu().sr() & all_flags, all_flags) << OpcodeName(op);
+    for (const SourceShape& shape : SourceShapes(/*byte=*/false, 0x1234)) {
+      for (const bool predecode : {true, false}) {
+        SCOPED_TRACE(StrFormat("%s, source %s, %s core", std::string(OpcodeName(op)).c_str(),
+                               shape.name, predecode ? "fast" : "interpreter"));
+        Machine m;
+        ASSERT_NO_FATAL_FAILURE(LoadAluStep(&m, op, /*byte=*/false, shape, 0x1234, predecode));
+        const uint16_t all_flags = kSrCarry | kSrZero | kSrNegative | kSrOverflow;
+        m.cpu().set_reg(Reg::kSr, all_flags);
+        m.cpu().set_reg(Reg::kR4, 0x00FF);
+        ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+        EXPECT_EQ(m.cpu().sr() & all_flags, all_flags);
+      }
+    }
   }
 }
 

@@ -3,8 +3,11 @@
 // fleet determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +101,89 @@ TEST(SnapshotTest, RejectsCorruptInput) {
 
   MachineSnapshot empty;
   EXPECT_FALSE(RestoreSnapshot(empty, &victim).ok());
+}
+
+// Runs `m` as a bare machine for `cycles` simulated cycles: a STOP (a
+// syscall with no OS behind it) is acknowledged and the run goes on; a halt
+// ends it.
+void RunBare(Machine* m, uint64_t cycles) {
+  uint64_t spent = 0;
+  while (spent < cycles) {
+    const Cpu::RunOutcome out = m->Run(cycles - spent);
+    spent += out.cycles;
+    if (out.result != StepResult::kStopped) {
+      return;
+    }
+    m->ClearStop();
+  }
+}
+
+// Seeded mutants of a booted template's snapshot (which carries no
+// checksum): byte edits biased toward the section headers and device state
+// around the memory image, huge lengths stamped in, truncation and trailing
+// bytes. RestoreSnapshot accepts or rejects each one and never crashes, and
+// an accepted snapshot runs 200,000 cycles on the fast core and on the
+// interpreter to byte-identical end snapshots.
+TEST(SnapshotTest, SeededMutantsRestoreOrFailAndRunAlikeOnBothCores) {
+  Firmware fw = MustBuild(MemoryModel::kMpu);
+  Machine booted;
+  AmuletOs os(&booted, fw, OsOptions{});
+  ASSERT_TRUE(os.Boot().ok());
+  const MachineSnapshot snapshot = CaptureSnapshot(booted);
+  const size_t size = snapshot.bytes.size();
+  std::mt19937 rng(0x5A45);
+  // Everything but the 64 KB memory image sits in the first and last ~100
+  // bytes; aim most edits there.
+  auto pick = [&]() -> size_t {
+    switch (rng() % 4) {
+      case 0:
+      case 1:
+        return rng() % 64;
+      case 2:
+        return size - 1 - rng() % 256;
+      default:
+        return rng() % size;
+    }
+  };
+  int accepted = 0;
+  for (int mutant_index = 0; mutant_index < 300; ++mutant_index) {
+    MachineSnapshot mutant = snapshot;
+    std::vector<uint8_t>& bytes = mutant.bytes;
+    for (int e = 1 + static_cast<int>(rng() % 3); e > 0; --e) {
+      switch (rng() % 5) {
+        case 0: {
+          const uint32_t huge = rng() % 2 == 0 ? 0xFFFFFFF0u : 0x7FFFFFFFu;
+          std::memcpy(bytes.data() + std::min(pick(), bytes.size() - 4), &huge, 4);
+          break;
+        }
+        case 1:
+          bytes.resize(bytes.size() - 1 - rng() % 16);
+          break;
+        case 2:
+          bytes.push_back(static_cast<uint8_t>(rng()));
+          break;
+        default:
+          bytes[std::min(pick(), bytes.size() - 1)] ^= static_cast<uint8_t>(1 + rng() % 255);
+          break;
+      }
+    }
+    Machine fast;
+    Machine slow;
+    const Status restored = RestoreSnapshot(mutant, &fast);
+    ASSERT_EQ(restored.ok(), RestoreSnapshot(mutant, &slow).ok()) << "mutant " << mutant_index;
+    if (!restored.ok()) {
+      continue;
+    }
+    ++accepted;
+    fast.cpu().set_predecode(true);
+    slow.cpu().set_predecode(false);
+    RunBare(&fast, 200'000);
+    RunBare(&slow, 200'000);
+    ASSERT_EQ(CaptureSnapshot(fast).bytes, CaptureSnapshot(slow).bytes)
+        << "mutant " << mutant_index << " ran differently on the two cores";
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 300);
 }
 
 // A device cloned from a boot snapshot must behave exactly like the device

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/strings.h"
+#include "src/mcu/bus-inl.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/trace.h"

@@ -2,7 +2,10 @@
 // MSP430 verifier, bit for bit), the AMFU image container (round trip +
 // corrupt-input fuzzing), bl-data persistence, and the tamper model
 // (checksum-fixing attacker without the key).
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,6 +230,80 @@ TEST(OtaImageFuzzTest, TrailingBytesAreInvalidArgument) {
   auto result = DecodeOtaImage(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Recomputes both FNV checks of a mutated container the way TamperOtaImage
+// does (header check over the 25 header bytes, payload check over whatever
+// lies between the header check and the last 8 bytes), so the mutant
+// reaches the field checks behind them.
+void RecomputeOtaChecks(std::vector<uint8_t>* bytes) {
+  if (bytes->size() < kOtaPayloadOffset + 8) {
+    return;
+  }
+  const uint64_t header_check = Fnv1a64(bytes->data(), kOtaHeaderBytes);
+  std::memcpy(bytes->data() + kOtaHeaderBytes, &header_check, 8);
+  const size_t payload_len = bytes->size() - kOtaPayloadOffset - 8;
+  const uint64_t payload_check = Fnv1a64(bytes->data() + kOtaPayloadOffset, payload_len);
+  std::memcpy(bytes->data() + kOtaPayloadOffset + payload_len, &payload_check, 8);
+}
+
+// Fuzz behind the checksums: seeded edits of a packed container with both
+// checks recomputed, including payload lengths of 0xFFFFFFF0 and 0x7FFFFFFF
+// and model bytes above the last MemoryModel. Every decode is quick and
+// returns OK or InvalidArgument; an accepted container is exactly the
+// encoding of what was decoded.
+TEST(OtaImageFuzzTest, SeededMutantsBehindTheChecksumsDecodeOrFailCleanly) {
+  const OtaImage packed = PackOtaImage(TestFirmwareImage(), 3, MemoryModel::kMpu, TestKey());
+  const std::vector<uint8_t> bytes = EncodeOtaImage(packed);
+  constexpr size_t kModelAt = 12;
+  constexpr size_t kLengthAt = 13;
+  std::mt19937 rng(0xA3F0);
+  int accepted = 0;
+  for (int mutant_index = 0; mutant_index < 2000; ++mutant_index) {
+    std::vector<uint8_t> mutant = bytes;
+    auto put_length = [&](uint32_t length) { std::memcpy(mutant.data() + kLengthAt, &length, 4); };
+    switch (mutant_index % 5) {
+      case 0:
+        put_length(0xFFFFFFF0u);
+        break;
+      case 1:
+        put_length(0x7FFFFFFFu);
+        break;
+      case 2:
+        mutant[kModelAt] = static_cast<uint8_t>(4 + rng() % 252);
+        break;
+      case 3: {  // cut or grow the payload, the header length following or not
+        const size_t payload = bytes.size() - kOtaPayloadOffset - 8;
+        const size_t new_payload = rng() % (2 * payload + 1);
+        mutant.resize(kOtaPayloadOffset + new_payload + 8, static_cast<uint8_t>(rng()));
+        if (rng() % 2 == 0) {
+          put_length(static_cast<uint32_t>(new_payload));
+        }
+        break;
+      }
+      default:
+        for (int e = 1 + static_cast<int>(rng() % 3); e > 0; --e) {
+          mutant[rng() % mutant.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
+        }
+        break;
+    }
+    RecomputeOtaChecks(&mutant);
+    const auto t0 = std::chrono::steady_clock::now();
+    Result<OtaImage> decoded = DecodeOtaImage(mutant);
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_LT(ms, 50.0) << "mutant " << mutant_index;
+    if (decoded.ok()) {
+      ++accepted;
+      ASSERT_EQ(EncodeOtaImage(*decoded), mutant) << "mutant " << mutant_index;
+    } else {
+      ASSERT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << "mutant " << mutant_index << ": " << decoded.status().ToString();
+    }
+  }
+  // Edits to the version, the MAC or the payload leave a well-formed image.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 2000);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 // bookkeeping: which entries a write kills, entry reuse, generation wrap.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/common/strings.h"
 #include "src/fleet/fleet.h"
@@ -210,6 +212,154 @@ TEST(PredecodeTest, MpuFetchViolationMatchesInterpreter) {
   EXPECT_EQ(dual.outcome.stop_code, 3);
   EXPECT_EQ(dual.fast.cpu().reg(Reg::kR10), 1);
   EXPECT_TRUE(dual.fast.mpu().violation_flags() != 0);
+}
+
+// Every memory-operand shape the fast core has its own dispatch slot for,
+// driven into the corners its bus access can reach: an MPU refusal, a
+// fault, the device path, autoincrement ordering and a store that rewrites
+// the next instruction. Each case runs on both cores (RunBoth compares the
+// final snapshots byte for byte) and must reach its architectural outcome,
+// so a fault in a fast handler and one in the bus path it shares with the
+// interpreter both fail here.
+TEST(PredecodeTest, MemoryOperandShapesMatchInterpreter) {
+  // seg1 = [0x4400, 0x8000) execute-only (the code), seg2 = [0x8000, 0xA000)
+  // with the rights in `sam`, seg3 no access. 0x9000 holds 0x5555 before
+  // the MPU is enabled; the NMI handler stops with code 3.
+  auto with_mpu = [](const char* sam, const char* access) {
+    return std::string(kMpuRegs) +
+           "start:\n"
+           "  mov #0x2400, sp\n"
+           "  mov #nmi, &0xFFFC\n"
+           "  mov #0x5555, &0x9000\n"
+           "  mov #0x0800, &MPUSEGB1\n"
+           "  mov #0x0A00, &MPUSEGB2\n"
+           "  mov #" + sam + ", &MPUSAM\n"
+           "  mov #0xA501, &MPUCTL0\n" + access +
+           "  mov #9, r11\n"  // never runs: the NMI is taken first
+           + kStop +
+           "nmi:\n"
+           "  mov #3, &0x0710\n";
+  };
+  struct Case {
+    const char* name;
+    std::string source;
+    std::function<void(Machine&, const Cpu::RunOutcome&)> check;
+  };
+  const std::vector<Case> cases = {
+      {"MPU-refused x(Rn) load", with_mpu("0x0024", "  mov #0x8FFE, r10\n  mov 2(r10), r4\n"),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.stop_code, 3);
+         EXPECT_EQ(m.cpu().reg(Reg::kR4), 0x3FFF) << "a refused read yields 0x3FFF";
+         EXPECT_EQ(m.cpu().reg(Reg::kR11), 0);
+         EXPECT_TRUE(m.mpu().violation_flags() & kMpuSeg2Ifg);
+         EXPECT_EQ(m.mpu().last_violation_addr(), 0x9000);
+         EXPECT_EQ(m.mpu().last_violation_kind(), AccessKind::kRead);
+       }},
+      {"MPU-refused &abs store", with_mpu("0x0014", "  mov #0x1234, &0x9000\n"),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.stop_code, 3);
+         EXPECT_EQ(m.bus().PeekWord(0x9000), 0x5555) << "a refused write is dropped";
+         EXPECT_EQ(m.cpu().reg(Reg::kR11), 0);
+         EXPECT_TRUE(m.mpu().violation_flags() & kMpuSeg2Ifg);
+         EXPECT_EQ(m.mpu().last_violation_addr(), 0x9000);
+         EXPECT_EQ(m.mpu().last_violation_kind(), AccessKind::kWrite);
+       }},
+      {"@Rn load from a hole",
+       "start:\n"
+       "  mov #0x3000, r10\n"
+       "  mov @r10, r4\n"
+       "  mov #9, r11\n" + std::string(kStop),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kHalted);
+         EXPECT_EQ(m.cpu().halt_reason(), HaltReason::kBusFault);
+         EXPECT_EQ(m.cpu().reg(Reg::kR4), 0x3FFF) << "the faulting load still retires";
+         EXPECT_EQ(m.cpu().reg(Reg::kR11), 0);
+       }},
+      {"@Rn+ load from the timer",
+       ".equ TACCR0, 0x0346\n"
+       "start:\n"
+       "  mov #0x1234, &TACCR0\n"
+       "  mov #TACCR0, r10\n"
+       "  mov @r10+, r4\n" + std::string(kStop),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kStopped);
+         EXPECT_EQ(m.cpu().reg(Reg::kR4), 0x1234) << "read through the device";
+         EXPECT_EQ(m.cpu().reg(Reg::kR10), 0x0348);
+       }},
+      {"x(Rn) store into the BSL",
+       "start:\n"
+       "  mov #0x1000, r10\n"
+       "  mov #0x4242, r5\n"
+       "  mov r5, 0(r10)\n"
+       "  mov #9, r11\n" + std::string(kStop),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kHalted);
+         EXPECT_EQ(m.cpu().halt_reason(), HaltReason::kBusFault);
+         EXPECT_EQ(m.bus().PeekWord(0x1000), 0) << "the BSL stub is read-only";
+         EXPECT_EQ(m.cpu().reg(Reg::kR11), 0);
+       }},
+      {"mov @sp+, pc",
+       "start:\n"
+       "  mov #0x2400, sp\n"
+       "  call #sub\n"
+       "  mov #7, r6\n" + std::string(kStop) +
+       "sub:\n"
+       "  mov #5, r4\n"
+       "  mov @sp+, pc\n",
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kStopped);
+         EXPECT_EQ(m.cpu().reg(Reg::kR4), 5);
+         EXPECT_EQ(m.cpu().reg(Reg::kR6), 7);
+         EXPECT_EQ(m.cpu().sp(), 0x2400);
+       }},
+      {"mov @r5+, r5",
+       "start:\n"
+       "  mov #word, r5\n"
+       "  mov @r5+, r5\n" + std::string(kStop) +
+       ".data\n"
+       "word:\n"
+       "  .word 0x1234\n",
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kStopped);
+         EXPECT_EQ(m.cpu().reg(Reg::kR5), 0x1234) << "the load lands after the increment";
+       }},
+      {"add @r5+, r5",
+       "start:\n"
+       "  mov #word, r5\n"
+       "  add @r5+, r5\n" + std::string(kStop) +
+       ".data\n"
+       "word:\n"
+       "  .word 0x0100\n",
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kStopped);
+         EXPECT_EQ(m.cpu().reg(Reg::kR5), 0x0100 + 0x7000 + 2)
+             << "the destination is read after the increment";
+       }},
+      {"store into the next instruction's extension word",
+       "start:\n"
+       "  mov #patch, r10\n"
+       "  mov #0x0042, r7\n"
+       "  mov #2, r6\n"
+       "loop:\n"
+       "  mov r7, 2(r10)\n"  // rewrites the immediate of `patch`
+       "patch:\n"
+       "  mov #0x1111, r4\n"
+       "  add r4, r8\n"
+       "  inc r7\n"
+       "  dec r6\n"
+       "  jnz loop\n" + std::string(kStop),
+       [](Machine& m, const Cpu::RunOutcome& out) {
+         EXPECT_EQ(out.result, StepResult::kStopped);
+         EXPECT_EQ(m.cpu().reg(Reg::kR4), 0x0043) << "the second pass ran a stale immediate";
+         EXPECT_EQ(m.cpu().reg(Reg::kR8), 0x0042 + 0x0043);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DualRun dual;
+    RunBoth(&dual, c.source);
+    c.check(dual.fast, dual.outcome);
+  }
 }
 
 // The cache's own bookkeeping, driven directly: claim an address's entry and
