@@ -239,9 +239,12 @@ struct CompiledApp {
   std::map<std::string, int> fn_stack_bytes;
 };
 
-Result<CompiledApp> CompileApp(const AppSource& app, MemoryModel model,
-                               const AftOptions& options) {
+// Phases 1-3 for one app: the one per-app pipeline. `trace`, when given,
+// receives the IR and assembly of the phases as they run.
+Result<CompiledApp> CompileApp(const AppSource& app, const AftOptions& options,
+                               AftTrace* trace) {
   RETURN_IF_ERROR(ValidateAppName(app.name));
+  const MemoryModel model = options.model;
   CompiledApp out;
   out.name = app.name;
 
@@ -266,6 +269,9 @@ Result<CompiledApp> CompileApp(const AppSource& app, MemoryModel model,
   if (options.verify_ir) {
     RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/true));
   }
+  if (trace != nullptr) {
+    trace->ir_before_checks = DumpIr(ir);
+  }
   const MemoryModel check_model =
       options.future_mpu ? MemoryModel::kNoIsolation : model;
   ASSIGN_OR_RETURN(out.checks, InsertChecks(&ir, check_model, BoundSymbolsFor(app.name)));
@@ -275,6 +281,9 @@ Result<CompiledApp> CompileApp(const AppSource& app, MemoryModel model,
       fn.ret_check = RetCheckKind::kNone;
     }
     out.checks.ret_checks = 0;
+  }
+  if (trace != nullptr) {
+    trace->ir_after_checks = DumpIr(ir);
   }
   if (options.verify_ir) {
     RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/false));
@@ -290,6 +299,9 @@ Result<CompiledApp> CompileApp(const AppSource& app, MemoryModel model,
     out.checks.elided_code_checks = opt_stats.elided_code_checks;
     out.checks.elided_index_checks = opt_stats.elided_index_checks;
     out.checks.hoisted_checks = opt_stats.hoisted_checks;
+    if (trace != nullptr) {
+      trace->ir_after_opt = DumpIr(ir);
+    }
     if (options.verify_ir) {
       RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/false));
     }
@@ -302,6 +314,9 @@ Result<CompiledApp> CompileApp(const AppSource& app, MemoryModel model,
   cg.shadow_ret_stack = options.shadow_return_stack;
   cg.use_hw_multiplier = options.use_hw_multiplier;
   ASSIGN_OR_RETURN(CodegenResult code, GenerateAssembly(ir, cg));
+  if (trace != nullptr) {
+    trace->assembly = code.assembly;
+  }
   out.fn_stack_bytes = std::move(code.stack_bytes);
   // Per-app entry thunk, placed in the app's own code region: the event
   // handler's checked return address then satisfies `addr >= C_i`, while the
@@ -334,7 +349,7 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
         return AlreadyExistsError(StrFormat("duplicate app name '%s'", app.name.c_str()));
       }
     }
-    ASSIGN_OR_RETURN(CompiledApp one, CompileApp(app, options.model, options));
+    ASSIGN_OR_RETURN(CompiledApp one, CompileApp(app, options, /*trace=*/nullptr));
     compiled.push_back(std::move(one));
   }
 
@@ -465,39 +480,9 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
 Result<AftTrace> TraceAppBuild(const AppSource& app, const AftOptions& options) {
   AftTrace trace;
   trace.prelude_source = ApiPrelude();
-  ASSIGN_OR_RETURN(std::unique_ptr<Program> program,
-                   Parse(trace.prelude_source + app.source, app.name));
-  RETURN_IF_ERROR(Analyze(program.get(), MakeSemaOptions(), &trace.audit));
-  ASSIGN_OR_RETURN(IrProgram ir, LowerProgram(program.get(), app.name));
-  if (options.verify_ir) {
-    RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/true));
-  }
-  trace.ir_before_checks = DumpIr(ir);
-  ASSIGN_OR_RETURN(trace.checks,
-                   InsertChecks(&ir, options.model, BoundSymbolsFor(app.name)));
-  trace.ir_after_checks = DumpIr(ir);
-  if (options.verify_ir) {
-    RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/false));
-  }
-  if (options.optimize_checks) {
-    CheckOptOptions opt;
-    opt.frame_safe = !trace.audit.uses_recursion && !trace.audit.has_indirect_calls;
-    ASSIGN_OR_RETURN(CheckOptStats opt_stats,
-                     OptimizeChecks(&ir, BoundSymbolsFor(app.name), opt));
-    trace.checks.elided_data_checks = opt_stats.elided_data_checks;
-    trace.checks.elided_code_checks = opt_stats.elided_code_checks;
-    trace.checks.elided_index_checks = opt_stats.elided_index_checks;
-    trace.checks.hoisted_checks = opt_stats.hoisted_checks;
-    trace.ir_after_opt = DumpIr(ir);
-    if (options.verify_ir) {
-      RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/false));
-    }
-  }
-  CodegenOptions cg;
-  cg.text_section = "." + app.name + ".text";
-  cg.data_section = "." + app.name + ".data";
-  ASSIGN_OR_RETURN(CodegenResult code, GenerateAssembly(ir, cg));
-  trace.assembly = code.assembly;
+  ASSIGN_OR_RETURN(CompiledApp compiled, CompileApp(app, options, &trace));
+  trace.audit = std::move(compiled.audit);
+  trace.checks = compiled.checks;
   return trace;
 }
 

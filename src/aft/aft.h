@@ -127,7 +127,10 @@ struct Firmware {
 // Builds the firmware. App names must be unique, non-empty, symbol-safe.
 Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOptions& options);
 
-// Exposed for the toolchain-tour example: per-phase artifacts of one app.
+// Per-phase artifacts of one app (the toolchain tour, `amuletc --dump-ir`).
+// TraceAppBuild runs the app through BuildFirmware's own per-app pipeline,
+// with the same options and the same rejections (app name, FeatureLimited
+// pointers and recursion), so the artifacts are those of the built image.
 struct AftTrace {
   std::string prelude_source;
   FeatureAudit audit;

@@ -3,10 +3,11 @@
 // The cycle-accurate interpreter pays for isa::Decode() plus separate
 // extension-word bus fetches on every step. Code in FRAM rarely changes, so
 // the CPU can instead decode each instruction once into a flat record --
-// resolved operands, extension-word addresses, next PC, base cycle cost, and
-// a direct dispatch-table index -- and replay it from a cache keyed by word
-// address (see src/mcu/code_cache.h). The record is derived state: it is
-// never serialized, and any write to the underlying words invalidates it.
+// resolved operands, extension-word addresses, next PC and base cycle cost
+// -- and replay it from a cache keyed by word address (see
+// src/mcu/code_cache.h). The record is pure ISA: which handler runs it is
+// the CPU's choice (src/mcu/cpu.cc). It is derived state: never serialized,
+// and any write to the underlying words invalidates it.
 #ifndef SRC_ISA_PREDECODE_H_
 #define SRC_ISA_PREDECODE_H_
 
@@ -26,24 +27,6 @@ enum class InsnClass : uint8_t {
   kInvalid,
 };
 
-// Fast-dispatch handler slots: 12 Format-I opcodes, 7 Format-II opcodes and
-// 8 jump conditions on the generic operand machinery, then specialized slots
-// for the operand shapes that dominate compiled code, each executed with its
-// addressing mode resolved at predecode:
-//   * register destination, one row of 12 Format-I slots per source shape:
-//     row 0 register/constant/immediate (byte and word), rows 1..4 the word
-//     memory sources x(Rn), &abs, @Rn and @Rn+ (no DADD);
-//   * RRC/SWPB/RRA/SXT on a register (4 slots);
-//   * word MOV of a register, constant or immediate into x(Rn) or &abs
-//     (2 slots).
-// Byte memory operands, symbolic operands and memory destinations of the
-// other opcodes keep the generic slots.
-inline constexpr int kFastAluRegDstBase = 27;
-inline constexpr int kFastSourceRows = 5;
-inline constexpr int kFastFmt2RegBase = kFastAluRegDstBase + 12 * kFastSourceRows;
-inline constexpr int kFastMovStoreBase = kFastFmt2RegBase + 4;
-inline constexpr int kNumFastHandlers = kFastMovStoreBase + 2;
-
 struct PredecodedInsn {
   // Fully resolved instruction: extension words are already filled in from
   // the instruction stream, exactly as the interpreter would fetch them.
@@ -59,14 +42,8 @@ struct PredecodedInsn {
   // InstructionCycles() of the resolved instruction; pure in the decoded
   // operand modes, so it is safe to precompute.
   uint8_t base_cycles = 0;
-  // Direct index into the CPU's fast dispatch table (see FastHandlerIndex).
-  uint8_t handler = 0;
   InsnClass cls = InsnClass::kInvalid;
 };
-
-// Maps an opcode to its dense dispatch slot:
-//   Format I  -> 0..11, Format II -> 12..18, jumps -> 19..26.
-int FastHandlerIndex(Opcode op);
 
 // Decodes the instruction whose first word sits at `addr`, with `words`
 // holding the three consecutive stream words starting there (unused tail

@@ -44,8 +44,7 @@ inline uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
   return static_cast<uint16_t>(mem_[addr] | (mem_[addr + 1] << 8));
 }
 
-inline void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
-  (void)kind;  // always a data write; kept for symmetry with ReadWord
+inline void Bus::WriteWord(uint16_t addr, uint16_t value) {
   addr &= ~uint16_t{1};
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);

@@ -49,26 +49,6 @@ void Bus::SetCountedRegions(const std::vector<std::pair<uint16_t, uint16_t>>& sp
   }
 }
 
-uint8_t* Bus::BackingFor(uint16_t addr, AccessKind kind, bool* writable) {
-  const uint32_t a = addr;
-  *writable = true;
-  if (InRange(a, kBslStart, kBslEnd)) {
-    *writable = false;
-    return &mem_[addr];
-  }
-  if (IsInfoMem(a) || IsSram(a) || a >= kFramStart) {
-    return &mem_[addr];
-  }
-  if (InRange(a, kPeriphStart, kPeriphEnd)) {
-    // Peripheral space without a device behind it: handled by caller.
-    if (kind == AccessKind::kFetch) {
-      fault_ = BusFault::kFetchFromPeriph;
-    }
-    return nullptr;
-  }
-  return nullptr;  // hole (0x1A00-0x1BFF, 0x2400-0x43FF)
-}
-
 uint16_t Bus::ReadWordSlow(uint16_t addr, AccessKind kind) {
   if (const MappedDevice* mapped = DeviceFor(addr)) {
     if (kind == AccessKind::kFetch) {
@@ -91,40 +71,40 @@ void Bus::WriteWordSlow(uint16_t addr, uint16_t value) {
   fault_ = InRange(addr, kBslStart, kBslEnd) ? BusFault::kWriteToRom : BusFault::kUnmapped;
 }
 
-uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
+// The byte accessors classify an address as the word path does: plain
+// memory, then a device (read-modify-write of its word), then the hole or
+// BSL fault. Side effects keep the word path's order.
+uint8_t Bus::ReadByte(uint16_t addr) {
   AddFramPenalty(addr);
-  const bool data = kind != AccessKind::kFetch;
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    if (data) {
-      Count(addr);
-    }
+  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kRead)) {
+    Count(addr);
     return kRefusedReadValue & 0xFF;
   }
+  if (IsPlainMemory(addr)) {
+    Count(addr);
+    return mem_[addr];
+  }
   if (const MappedDevice* mapped = DeviceFor(addr)) {
-    if (data) {
-      Count(addr);
-    }
+    Count(addr);
     const uint16_t word =
         mapped->device->ReadWord(static_cast<uint16_t>((addr & ~1) - mapped->base));
     return (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8) : static_cast<uint8_t>(word & 0xFF);
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return kRefusedReadValue & 0xFF;
-  }
-  if (data) {
-    Count(addr);
-  }
-  return *backing;
+  fault_ = BusFault::kUnmapped;  // a hole, or register space with no device
+  return kRefusedReadValue & 0xFF;
 }
 
-void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
+void Bus::WriteByte(uint16_t addr, uint8_t value) {
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
     Count(addr);
+    return;  // blocked; violation latched in the MPU
+  }
+  if (IsWritableMemory(addr)) {
+    Count(addr);
+    mem_[addr] = value;
+    InvalidateCode(addr);
     return;
   }
   if (const MappedDevice* mapped = DeviceFor(addr)) {
@@ -139,19 +119,7 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
     mapped->device->WriteWord(offset, word);
     return;
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return;
-  }
-  if (!writable) {
-    fault_ = BusFault::kWriteToRom;
-    return;
-  }
-  Count(addr);
-  *backing = value;
-  InvalidateCode(addr);
+  fault_ = InRange(addr, kBslStart, kBslEnd) ? BusFault::kWriteToRom : BusFault::kUnmapped;
 }
 
 uint8_t Bus::PeekByte(uint16_t addr) const { return mem_[addr]; }

@@ -103,13 +103,14 @@ class Bus {
 
   // CPU-facing accessors. Word addresses have bit 0 ignored (as on the real
   // part). An MPU refusal yields value 0x3FFF on reads and drops writes; the
-  // violation is latched in the MPU, not reported here. The word accessors
-  // are inline and defined in src/mcu/bus-inl.h: include it where they are
-  // called.
+  // violation is latched in the MPU, not reported here. Only ReadWord
+  // fetches (`kind` kFetch or kRead); the others are data accesses. The
+  // word accessors are inline and defined in src/mcu/bus-inl.h: include it
+  // where they are called.
   inline uint16_t ReadWord(uint16_t addr, AccessKind kind);
-  inline void WriteWord(uint16_t addr, uint16_t value, AccessKind kind);
-  uint8_t ReadByte(uint16_t addr, AccessKind kind);
-  void WriteByte(uint16_t addr, uint8_t value, AccessKind kind);
+  inline void WriteWord(uint16_t addr, uint16_t value);
+  uint8_t ReadByte(uint16_t addr);
+  void WriteByte(uint16_t addr, uint8_t value);
 
   // Sticky hardware fault from the most recent access sequence.
   BusFault fault() const { return fault_; }
@@ -145,10 +146,6 @@ class Bus {
   // faults (holes, stores into the BSL stub).
   uint16_t ReadWordSlow(uint16_t addr, AccessKind kind);
   void WriteWordSlow(uint16_t addr, uint16_t value);
-
-  // Returns backing storage for a plain-memory address, or nullptr if the
-  // address belongs to a device/hole.
-  uint8_t* BackingFor(uint16_t addr, AccessKind kind, bool* writable);
 
   struct MappedDevice {
     BusDevice* device;

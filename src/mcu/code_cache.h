@@ -1,8 +1,8 @@
 // Predecoded-instruction cache for the fast simulator core.
 //
 // A 32768-slot index (one uint16_t per 16-bit word address, 64 KB) points
-// into a dense vector of entries, each holding the PredecodedInsn record and
-// the FRAM word count its fetch replay needs. The dense vector grows only
+// into a dense vector of entries, each holding the PredecodedInsn record, its
+// dispatch slot and the FRAM word count its fetch replay needs. The dense vector grows only
 // when an address is predecoded for the first time, and an address keeps its
 // entry across invalidations, so memory is bounded by the number of distinct
 // addresses a device ever executes (at most 32768 entries; ~550-930 for the
@@ -42,6 +42,9 @@ class CodeCache {
     bool slow_only = false;
     // How many of the fetched words live in FRAM (wait-state penalties).
     uint8_t fram_words = 0;
+    // The record's slot in the CPU's fast dispatch table; src/mcu/cpu.cc
+    // owns the table, its layout and the rule that picks the slot.
+    uint8_t handler = 0;
     PredecodedInsn pd;
   };
 

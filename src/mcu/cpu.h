@@ -1,17 +1,22 @@
-// The MSP430 CPU core: fetch/decode/execute interpreter with architectural
-// flag semantics, interrupt/NMI handling, and cycle accounting (ISA base
-// cycles + FRAM wait-state penalties accumulated on the bus).
+// The MSP430 CPU core: fetch/decode/execute with architectural flag
+// semantics, interrupt/NMI handling, and cycle accounting (ISA base cycles +
+// FRAM wait-state penalties accumulated on the bus).
 //
-// Two execution paths share one set of semantics:
-//   * StepSlow() -- the reference interpreter: bus fetch + isa::Decode() on
-//     every step. Always correct, used for uncacheable corner cases and as
-//     the baseline for differential testing (set_predecode(false)).
+// Two cores share one definition of what an instruction computes and costs:
+// one ALU function per Format-I operation and per RRC/SWPB/RRA/SXT, and one
+// retire step that advances the cycle counter, timer, watchdog and profiler.
+//   * StepSlow() -- the reference interpreter: bus fetch + isa::Decode() and
+//     the generic operand machinery on every step. It is the reference for
+//     fetch, decode, operand resolution, bus order and refused fetches; used
+//     for uncacheable corner cases and as the baseline for differential
+//     testing (set_predecode(false)).
 //   * StepFast() -- the default: executes dense PredecodedInsn records from
-//     a CodeCache keyed by word address, replaying the interpreter's
-//     observable side effects (FRAM wait states, cycle attribution)
-//     bit-identically. It checks every fetched word against the MPU on every
-//     step and falls back to StepSlow() whenever a fetch would touch device
-//     space or the MPU would refuse it.
+//     a CodeCache keyed by word address through a dispatch table whose
+//     layout cpu.cc alone owns, replaying the interpreter's observable side
+//     effects (FRAM wait states, cycle attribution) bit-identically. It
+//     checks every fetched word against the MPU on every step and falls
+//     back to StepSlow() whenever a fetch would touch device space or the
+//     MPU would refuse it.
 #ifndef SRC_MCU_CPU_H_
 #define SRC_MCU_CPU_H_
 
@@ -51,7 +56,7 @@ enum class StepResult : uint8_t {
 
 class Cpu {
  public:
-  Cpu(Bus* bus, Timer* timer, McuSignals* signals);
+  Cpu(Bus* bus, Timer* timer, Watchdog* watchdog, McuSignals* signals);
 
   // Loads PC from the reset vector and clears SR. Memory contents persist
   // (FRAM is non-volatile; this mirrors a PUC, not a power cycle).
@@ -82,8 +87,6 @@ class Cpu {
   // and every interrupt accept is attributed to the region map. The hook in
   // Step() compiles out entirely under AMULET_SCOPE=OFF.
   void set_profiler(CycleProfiler* profiler) { profiler_ = profiler; }
-  // Optional watchdog (not owned); advanced with every retired cycle.
-  void set_watchdog(Watchdog* watchdog) { watchdog_ = watchdog; }
   // Optional flight recorder (not owned); receives a compact event for every
   // taken control transfer and interrupt accept. Both cores hook the same
   // retirement point, so the recorded stream is identical under
@@ -109,7 +112,7 @@ class Cpu {
   uint16_t halt_pc() const { return halt_pc_; }
 
   // Snapshot support: architectural registers and counters. The bus/timer/
-  // trace/watchdog wiring is not serialized.
+  // watchdog/trace wiring is not serialized.
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 
@@ -127,40 +130,60 @@ class Cpu {
   void ExecuteFormatTwo(const Instruction& insn, uint16_t ext_addr);
   void ExecuteJump(const Instruction& insn, uint16_t insn_addr);
 
+  // The ALU, shared by both cores: the result of Format-I op kOp on source
+  // `s` and destination `d`, or of RRC/SWPB/RRA/SXT on `v`. Operands come in
+  // masked to the width; the result goes out masked, and the flags the op
+  // changes are written in one SR update before the caller writes the
+  // destination.
+  template <Opcode kOp>
+  uint16_t Alu(uint16_t s, uint16_t d, bool byte);
+  template <Opcode kOp>
+  uint16_t AluUnary(uint16_t v, bool byte);
+  uint16_t AddWithCarry(uint16_t a, uint16_t b, uint16_t carry_in, bool byte);
+  // Replaces the `changed` SR flags with `bits`.
+  void SetFlags(uint16_t bits, uint16_t changed);
+  bool GetFlag(uint16_t flag) const { return (regs_[RegIndex(Reg::kSr)] & flag) != 0; }
+
+  // The one clock-advance sequence: `cycles` spent at `pc` (a retired
+  // instruction, an idle tick or an interrupt accept) advance the cycle
+  // counter, the timer and the watchdog, and are attributed to `pc`.
+  void Tick(uint16_t pc, uint64_t cycles);
+  StepResult Halt(HaltReason reason, uint16_t pc);
+  void AcceptInterrupt(uint16_t vector_slot);
+
   // Reference interpreter body: fetch, decode, execute one instruction at
   // `insn_addr` (the preamble in Step() has already run).
   StepResult StepSlow(uint16_t insn_addr);
   // Cache-driven body; defers to StepSlow() for anything it cannot replay
   // bit-identically (device-space fetches, MPU-refused fetches).
   StepResult StepFast(uint16_t insn_addr);
-  // Predecodes the instruction at `addr` into its cache entry and returns
-  // it, or returns nullptr (nothing cached) when the first word is not plain
-  // cacheable memory.
+  // Where both cores end: halts on a bus fault or a halt the instruction
+  // raised, else charges `base_cycles` plus the bus penalties through
+  // Tick(), counts the instruction, and records a taken transfer when the
+  // PC is no longer `fall_through`.
+  StepResult Retire(uint16_t insn_addr, uint16_t fall_through, uint64_t base_cycles);
+  // Predecodes the instruction at `addr` into its cache entry, picks its
+  // dispatch slot and returns it, or returns nullptr (nothing cached) when
+  // the first word is not plain cacheable memory.
   const CodeCache::Entry* FillEntry(uint16_t addr);
 
-  // Fast dispatch handlers, indexed by PredecodedInsn::handler through
-  // kFastDispatch (one dense slot per opcode; same-format opcodes share an
-  // executor, the per-opcode switch lives inside it).
+  // Fast dispatch handlers, indexed by CodeCache::Entry::handler through
+  // kFastDispatch (cpu.cc holds the slot layout and picks each entry's
+  // slot). The generic ones run the interpreter's executors, one per format.
   void FastFormatOne(const PredecodedInsn& pd, uint16_t insn_addr);
   void FastFormatTwo(const PredecodedInsn& pd, uint16_t insn_addr);
   void FastJump(const PredecodedInsn& pd, uint16_t insn_addr);
-  // Specialized Format-I handler for a register destination (slots
-  // kFastAluRegDstBase + 12 * row + (op - kMov), selected by PredecodeInto).
-  // kSrc is kRegister for a register/constant/immediate source (row 0, byte
-  // or word) or the mode of a word memory source: kIndexed, kAbsolute,
-  // kIndirect or kIndirectAutoInc (rows 1..4). Skips the generic
-  // operand-resolution machinery while mirroring ExecuteFormatOne's operand
-  // order, flag order and write semantics exactly (cpu_semantics_test + the
-  // differential fuzzer hold it to the interpreter byte-for-byte).
+  // Format I with a register destination. kSrc is kRegister for a
+  // register/constant/immediate source (byte or word) or the mode of a word
+  // memory source: kIndexed, kAbsolute, kIndirect or kIndirectAutoInc. Reads
+  // the operands in ExecuteFormatOne's order and calls the same ALU.
   template <Opcode kOp, AddrMode kSrc>
   void FastAluRegDst(const PredecodedInsn& pd, uint16_t insn_addr);
-  // Specialized register-operand RRC/SWPB/RRA/SXT (slots
-  // kFastFmt2RegBase..+3); same contract as FastAluRegDst.
+  // RRC/SWPB/RRA/SXT on a register.
   template <Opcode kOp>
   void FastFmt2Reg(const PredecodedInsn& pd, uint16_t insn_addr);
-  // Specialized word MOV of a register/constant/immediate into an x(Rn)
-  // (kDst = kIndexed) or &abs (kDst = kAbsolute) destination (slots
-  // kFastMovStoreBase..+1); same contract as FastAluRegDst.
+  // Word MOV of a register/constant/immediate into an x(Rn) (kDst =
+  // kIndexed) or &abs (kDst = kAbsolute) destination.
   template <AddrMode kDst>
   void FastMovStore(const PredecodedInsn& pd, uint16_t insn_addr);
   // Effective address of a word memory operand whose mode is fixed by the
@@ -170,23 +193,20 @@ class Cpu {
   uint16_t OperandAddress(const Operand& op);
   // Plain function pointers, not pointers-to-member: a member-pointer call
   // through a table pays the Itanium-ABI virtual-adjustment test on every
-  // dispatch. The table holds trampolines that inline the handlers.
+  // dispatch. The table holds trampolines that inline the handlers; its
+  // size is the slot count in cpu.cc.
   using FastHandler = void (*)(Cpu&, const PredecodedInsn&, uint16_t);
-  static const std::array<FastHandler, kNumFastHandlers> kFastDispatch;
-  void AcceptInterrupt(uint16_t vector_slot);
-  void SetFlagsLogical(uint16_t result, bool byte);  // N,Z from result; C=!Z; V=0
-  void SetFlag(uint16_t flag, bool set);
-  bool GetFlag(uint16_t flag) const { return (regs_[RegIndex(Reg::kSr)] & flag) != 0; }
+  static const FastHandler kFastDispatch[];
 
   void PushWord(uint16_t value);
   uint16_t PopWord();
 
   Bus* bus_;
   Timer* timer_;
+  Watchdog* watchdog_;
   McuSignals* signals_;
   ExecutionTrace* trace_ = nullptr;
   CycleProfiler* profiler_ = nullptr;
-  Watchdog* watchdog_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   std::array<uint16_t, kNumRegisters> regs_{};
   uint64_t cycles_ = 0;

@@ -11,14 +11,13 @@ Machine::Machine()
       timer_(&signals_),
       hostio_(&signals_),
       watchdog_(&signals_),
-      cpu_(&bus_, &timer_, &signals_) {
+      cpu_(&bus_, &timer_, &watchdog_, &signals_) {
   bus_.AttachDevice(&mpu_);
   bus_.AttachDevice(&timer_);
   bus_.AttachDevice(&hostio_);
   bus_.AttachDevice(&multiplier_);
   bus_.AttachDevice(&watchdog_);
   bus_.SetMpu(&mpu_);
-  cpu_.set_watchdog(&watchdog_);
 }
 
 void Machine::Reset() {

@@ -17,10 +17,6 @@ std::vector<uint16_t> ExecutionTrace::Recent() const {
   return out;
 }
 
-std::string RenderTrace(const ExecutionTrace& trace, const Bus& bus) {
-  return RenderTrace(trace.Recent(), bus);
-}
-
 std::string RenderTrace(const std::vector<uint16_t>& pcs, const Bus& bus) {
   std::string out;
   for (uint16_t pc : pcs) {

@@ -25,40 +25,20 @@ class ExecutionTrace {
     if (recorded_ < ring_.size()) {
       ++recorded_;
     }
-    ++total_;
-    ++since_clear_;
-  }
-
-  // Empties the ring. Lifetime counters survive (total_recorded keeps
-  // counting across Clear() by design — it answers "how many instructions
-  // has this trace ever seen"); the since-clear counter restarts at 0.
-  void Clear() {
-    next_ = 0;
-    recorded_ = 0;
-    since_clear_ = 0;
   }
 
   // Oldest-to-newest addresses currently in the ring.
   std::vector<uint16_t> Recent() const;
 
-  // Instructions recorded over the trace's whole lifetime (never reset).
-  uint64_t total_recorded() const { return total_; }
-  // Instructions recorded since the last Clear() (or construction).
-  uint64_t recorded_since_clear() const { return since_clear_; }
-  size_t depth() const { return ring_.size(); }
-
  private:
   std::vector<uint16_t> ring_;
   size_t next_ = 0;
   size_t recorded_ = 0;
-  uint64_t total_ = 0;
-  uint64_t since_clear_ = 0;
 };
 
-// Renders the trace tail as "  0x4412: mov #1, r10" lines, reading the
-// instruction bytes back from memory (best effort: memory may have moved on).
-std::string RenderTrace(const ExecutionTrace& trace, const Bus& bus);
-// Same rendering for a raw PC list (e.g. FaultRecord::recent_pcs).
+// Renders a PC list (ExecutionTrace::Recent(), FaultRecord::recent_pcs) as
+// "  0x4412: mov #1, r10" lines, reading the instruction bytes back from
+// memory (best effort: memory may have moved on).
 std::string RenderTrace(const std::vector<uint16_t>& pcs, const Bus& bus);
 
 }  // namespace amulet

@@ -6,6 +6,7 @@
 #include "src/aft/aft.h"
 #include "src/aft/listing.h"
 #include "src/common/strings.h"
+#include "src/mcu/multiplier.h"
 #include "src/os/os.h"
 
 namespace amulet {
@@ -305,6 +306,63 @@ TEST(AftTraceTest, ArtifactsPopulated) {
   EXPECT_EQ(trace->ir_after_checks.find("CHECK_MARKER"), std::string::npos);
   EXPECT_NE(trace->ir_after_checks.find("check_low"), std::string::npos);
   EXPECT_NE(trace->assembly.find("t_f_on_init:"), std::string::npos);
+}
+
+// TraceAppBuild runs BuildFirmware's per-app pipeline, so every option and
+// every rejection of a build reaches the trace.
+TEST(AftTraceTest, FutureMpuTraceHasNoChecks) {
+  const AppSource app = {"p", "int buf[4]; void on_init(void) { int id = 1; int *p = buf + id; "
+                              "*p = 3; p[1] = 4; }"};
+  auto checked = TraceAppBuild(app, MemoryModel::kMpu);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_NE(checked->ir_after_checks.find("check_low"), std::string::npos);
+
+  AftOptions options;
+  options.future_mpu = true;
+  auto trace = TraceAppBuild(app, options);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_EQ(trace->ir_after_checks.find("check_"), std::string::npos) << trace->ir_after_checks;
+  auto fw = BuildFirmware({app}, options);
+  ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+  EXPECT_EQ(trace->checks.data_checks, fw->apps[0].checks.data_checks);
+  EXPECT_EQ(trace->checks.code_checks, fw->apps[0].checks.code_checks);
+  EXPECT_EQ(trace->checks.ret_checks, fw->apps[0].checks.ret_checks);
+}
+
+TEST(AftTraceTest, ShadowReturnStackReplacesRetChecks) {
+  AftOptions options;
+  options.shadow_return_stack = true;
+  auto trace = TraceAppBuild({"r", "int f(void) { return 1; } void on_init(void) { f(); }"},
+                             options);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_EQ(trace->checks.ret_checks, 0);
+  EXPECT_NE(trace->assembly.find("__shadow_sp"), std::string::npos);
+  EXPECT_EQ(trace->assembly.find("__bnd_r_code_lo"), std::string::npos);
+}
+
+TEST(AftTraceTest, HwMultiplierReachesCodegen) {
+  AftOptions options;
+  options.use_hw_multiplier = true;
+  auto trace =
+      TraceAppBuild({"m", "int x; int y; int r; void on_init(void) { r = x * y; }"}, options);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_NE(trace->assembly.find(StrFormat("mov &%d, r12", kMpyRegBase + kMpyResLo)),
+            std::string::npos)
+      << trace->assembly;
+}
+
+TEST(AftTraceTest, BuildRejectionsApply) {
+  EXPECT_EQ(TraceAppBuild({"Bad-Name", kPlainApp}, MemoryModel::kMpu).status().code(),
+            StatusCode::kInvalidArgument);
+  auto pointers = TraceAppBuild({"p", "int y; void on_init(void) { int* q = &y; *q = 1; }"},
+                                MemoryModel::kFeatureLimited);
+  ASSERT_FALSE(pointers.ok());
+  EXPECT_NE(pointers.status().message().find("pointers"), std::string::npos);
+  auto recursion = TraceAppBuild(
+      {"r", "int f(int n) { return n <= 0 ? 0 : f(n - 1); } void on_init(void) { f(3); }"},
+      MemoryModel::kFeatureLimited);
+  ASSERT_FALSE(recursion.ok());
+  EXPECT_NE(recursion.status().message().find("recursion"), std::string::npos);
 }
 
 

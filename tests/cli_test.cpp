@@ -443,6 +443,26 @@ TEST_F(CliTest, FlagsWithoutTheirPartnerFail) {
               "flag '--checkpoint-every' requires --checkpoint");
 }
 
+// --dump-ir prints the IR of the build it reports: under --future-mpu that
+// build inserts no checks, and its IR shows none.
+TEST_F(CliTest, DumpIrFollowsFutureMpu) {
+  std::ofstream(dir_ / "ptr.amc") << "int buf[4];\n"
+                                     "void on_init(void) {\n"
+                                     "  int id = 1;\n"
+                                     "  int *p = buf + id;\n"
+                                     "  *p = 3;\n"
+                                     "}\n";
+  Outcome run = Amuletc({"--model", "mpu", "--dump-ir", "--report", "p=ptr.amc"});
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("check_low"), std::string::npos) << run.out;
+
+  run = Amuletc({"--model", "mpu", "--future-mpu", "--dump-ir", "--report", "p=ptr.amc"});
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("checks: 0 data, 0 code, 0 index"), std::string::npos) << run.out;
+  EXPECT_EQ(run.out.find("check_low"), std::string::npos) << run.out;
+  EXPECT_EQ(run.out.find("check_high"), std::string::npos) << run.out;
+}
+
 // Campaigns always keep per-device rows, so --no-device-stats cannot apply.
 TEST_F(CliTest, NoDeviceStatsFailsInACampaign) {
   ExpectFails({"fleet", "--campaign", "--no-device-stats", "--devices", "1", "--duration", "1"},

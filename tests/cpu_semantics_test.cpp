@@ -57,6 +57,7 @@ std::string CaseName(const AluCase& c) {
 // a dispatch slot per word memory shape, so each one is held to the
 // register form on both cores.
 constexpr uint16_t kSrcAddr = 0x2000;
+constexpr uint16_t kAluFlags = kSrCarry | kSrZero | kSrNegative | kSrOverflow;
 
 struct SourceShape {
   const char* name;
@@ -76,16 +77,16 @@ std::vector<SourceShape> SourceShapes(bool byte, uint16_t src) {
   return shapes;
 }
 
-// Loads `<op>[.b] <shape>, r4` at 0x4400 with `src` at kSrcAddr, ready to
+// Loads `<op>[.b] <shape>, <dst>` at 0x4400 with `src` at kSrcAddr, ready to
 // single-step on the chosen core.
 void LoadAluStep(Machine* m, Opcode op, bool byte, const SourceShape& shape, uint16_t src,
-                 bool predecode) {
+                 bool predecode, Reg dst = Reg::kR4) {
   m->cpu().set_predecode(predecode);
   Instruction insn;
   insn.op = op;
   insn.byte = byte;
   insn.src = shape.operand;
-  insn.dst = RegOp(Reg::kR4);
+  insn.dst = RegOp(dst);
   auto words = Encode(insn);
   ASSERT_TRUE(words.ok());
   for (size_t i = 0; i < words->size(); ++i) {
@@ -108,7 +109,8 @@ TEST_P(AluSemantics, MatchesArchitecture) {
       Machine m;
       ASSERT_NO_FATAL_FAILURE(LoadAluStep(&m, c.op, c.byte, shape, c.src, predecode));
       m.cpu().set_reg(Reg::kR4, c.dst_in);
-      m.cpu().set_reg(Reg::kSr, c.carry_in ? kSrCarry : 0);
+      // GIE rides along: no op may touch an SR bit outside C/Z/N/V.
+      m.cpu().set_reg(Reg::kSr, kSrGie | (c.carry_in ? kSrCarry : 0));
       ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
 
       const bool writes = c.op != Opcode::kCmp && c.op != Opcode::kBit;
@@ -119,6 +121,7 @@ TEST_P(AluSemantics, MatchesArchitecture) {
       }
       EXPECT_EQ(m.cpu().reg(Reg::kR5), shape.r5_after);
       const uint16_t sr = m.cpu().sr();
+      EXPECT_EQ(sr & ~kAluFlags, kSrGie);
       if (c.c >= 0) {
         EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << "C";
       }
@@ -179,6 +182,13 @@ INSTANTIATE_TEST_SUITE_P(
         Alu(Opcode::kAnd, true, 0x00FF, 0x1280, 0, 0x0080, 1, 0, 1, 0, 0x00, 0x8BA1)));
 
 INSTANTIATE_TEST_SUITE_P(
+    Mov, AluSemantics,
+    ::testing::Values(
+        // MOV copies the source and leaves every flag as it was.
+        Alu(Opcode::kMov, false, 0x8001, 0x1234, 1, 0x8001, 1, 0, 0, 0, 0x4D),
+        Alu(Opcode::kMov, true, 0x1280, 0xFFFF, 0, 0x0080, 0, 0, 0, 0, 0x4D)));
+
+INSTANTIATE_TEST_SUITE_P(
     Bcd, AluSemantics,
     ::testing::Values(
         Alu(Opcode::kDadd, false, 0x0042, 0x0013, 0, 0x0055, 0, 0, 0, -1, 0x00, 0x4058),
@@ -200,6 +210,66 @@ TEST(FlagPreservationTest, MovBisBicDontTouchSr) {
         m.cpu().set_reg(Reg::kR4, 0x00FF);
         ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
         EXPECT_EQ(m.cpu().sr() & all_flags, all_flags);
+      }
+    }
+  }
+}
+
+// A Format-I op into SR writes its flags first; the result then replaces
+// SR, so these expectations are the results, not the flags.
+TEST(DestinationSemantics, SrTakesTheResultAfterTheFlags) {
+  struct SrCase {
+    Opcode op;
+    bool byte;
+    uint16_t src;
+    uint16_t sr_in;
+    uint16_t sr_out;
+  };
+  const SrCase cases[] = {
+      {Opcode::kAdd, false, 0x0100, 0x0000, 0x0100},  // flags all clear, result sets V
+      {Opcode::kSub, false, 0x0005, 0x0005, 0x0000},  // flags C and Z, result 0
+      {Opcode::kXor, true, 0x0000, 0x0100, 0x0000},   // flags Z, result's high byte cleared
+      {Opcode::kAnd, false, 0x0104, 0x0105, 0x0104},  // flags C, result V and N
+  };
+  for (const SrCase& c : cases) {
+    for (const SourceShape& shape : SourceShapes(c.byte, c.src)) {
+      for (const bool predecode : {true, false}) {
+        SCOPED_TRACE(StrFormat("%s%s %s, sr from %04x, %s core",
+                               std::string(OpcodeName(c.op)).c_str(), c.byte ? ".b" : "",
+                               shape.name, c.sr_in, predecode ? "fast" : "interpreter"));
+        Machine m;
+        ASSERT_NO_FATAL_FAILURE(
+            LoadAluStep(&m, c.op, c.byte, shape, c.src, predecode, Reg::kSr));
+        m.cpu().set_reg(Reg::kSr, c.sr_in);
+        ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+        EXPECT_EQ(m.cpu().sr(), c.sr_out);
+      }
+    }
+  }
+}
+
+// A result written to PC loses bit 0; the flags land in SR as usual.
+TEST(DestinationSemantics, PcDropsBitZero) {
+  for (const Opcode op : {Opcode::kMov, Opcode::kAdd}) {
+    for (const SourceShape& shape : SourceShapes(/*byte=*/false, 0xFFFF)) {
+      for (const bool predecode : {true, false}) {
+        SCOPED_TRACE(StrFormat("%s %s, pc, %s core", std::string(OpcodeName(op)).c_str(),
+                               shape.name, predecode ? "fast" : "interpreter"));
+        Machine m;
+        ASSERT_NO_FATAL_FAILURE(LoadAluStep(&m, op, /*byte=*/false, shape, 0xFFFF, predecode,
+                                            Reg::kPc));
+        m.cpu().set_reg(Reg::kSr, 0);
+        ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+        // PC reads as the fall-through address; adding 0xFFFF steps it back
+        // to an odd address, one below it, with a carry out.
+        const uint16_t next = ModeHasExtWord(shape.operand.mode) ? 0x4404 : 0x4402;
+        if (op == Opcode::kMov) {
+          EXPECT_EQ(m.cpu().pc(), 0xFFFE);
+          EXPECT_EQ(m.cpu().sr(), 0);
+        } else {
+          EXPECT_EQ(m.cpu().pc(), next - 2);
+          EXPECT_EQ(m.cpu().sr(), kSrCarry);
+        }
       }
     }
   }
@@ -229,25 +299,38 @@ class UnarySemantics : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnarySemantics, MatchesArchitecture) {
   const UnaryCase& c = GetParam();
-  Machine m;
   Instruction insn;
   insn.op = c.op;
   insn.byte = c.byte;
   insn.dst = RegOp(Reg::kR4);
   auto words = Encode(insn);
   ASSERT_TRUE(words.ok());
-  m.bus().PokeWord(0x4400, (*words)[0]);
-  m.bus().PokeWord(kResetVector, 0x4400);
-  m.cpu().Reset();
-  m.cpu().set_reg(Reg::kR4, c.in);
-  m.cpu().set_reg(Reg::kSr, c.carry_in ? kSrCarry : 0);
-  ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
-  EXPECT_EQ(m.cpu().reg(Reg::kR4), c.expect)
-      << OpcodeName(c.op) << " in=" << HexWord(c.in);
-  const uint16_t sr = m.cpu().sr();
-  if (c.c >= 0) EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << OpcodeName(c.op) << " C";
-  if (c.z >= 0) EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << OpcodeName(c.op) << " Z";
-  if (c.n >= 0) EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << OpcodeName(c.op) << " N";
+  for (const bool predecode : {true, false}) {
+    SCOPED_TRACE(StrFormat("%s%s in=%04x cin=%d, %s core", std::string(OpcodeName(c.op)).c_str(),
+                           c.byte ? ".b" : "", c.in, c.carry_in ? 1 : 0,
+                           predecode ? "fast" : "interpreter"));
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    m.bus().PokeWord(0x4400, (*words)[0]);
+    m.bus().PokeWord(kResetVector, 0x4400);
+    m.cpu().Reset();
+    m.cpu().set_reg(Reg::kR4, c.in);
+    // V starts set: RRC, RRA and SXT clear it, SWPB touches no flag.
+    m.cpu().set_reg(Reg::kSr, kSrOverflow | (c.carry_in ? kSrCarry : 0));
+    ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+    EXPECT_EQ(m.cpu().reg(Reg::kR4), c.expect);
+    const uint16_t sr = m.cpu().sr();
+    if (c.c >= 0) {
+      EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << "C";
+    }
+    if (c.z >= 0) {
+      EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << "Z";
+    }
+    if (c.n >= 0) {
+      EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << "N";
+    }
+    EXPECT_EQ((sr & kSrOverflow) != 0, c.op == Opcode::kSwpb) << "V";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -263,7 +346,16 @@ INSTANTIATE_TEST_SUITE_P(
         Unary(Opcode::kSwpb, false, 0xABCD, 0, 0xCDAB, -1, -1, -1, 0x18),
         Unary(Opcode::kSxt, false, 0x0080, 0, 0xFF80, 1, 0, 1),
         Unary(Opcode::kSxt, false, 0x007F, 0, 0x007F, 1, 0, 0),
-        Unary(Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0, 0xDC)));
+        Unary(Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0, 0xDC),
+        // Byte forms shift the low byte only and clear the high byte.
+        Unary(Opcode::kRra, true, 0x1281, 0, 0x00C0, 1, 0, 1, 0x5B),
+        Unary(Opcode::kRra, true, 0xFF01, 0, 0x0000, 1, 1, 0, 0x5B),
+        Unary(Opcode::kRrc, true, 0xFF02, 0, 0x0001, 0, 0, 0, 0x5B),
+        Unary(Opcode::kRrc, true, 0x0101, 0, 0x0000, 1, 1, 0, 0x5B),
+        // SXT reads bit 7 and drops whatever the high byte held.
+        Unary(Opcode::kSxt, false, 0x1234, 0, 0x0034, 1, 0, 0, 0x5B),
+        Unary(Opcode::kSxt, false, 0x7F80, 0, 0xFF80, 1, 0, 1, 0x5B),
+        Unary(Opcode::kSxt, false, 0xFF00, 0, 0x0000, 0, 1, 0, 0x5B)));
 
 // ---------------------------------------------------------------------------
 // Byte operations on memory: only the addressed byte changes.

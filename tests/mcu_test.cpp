@@ -325,40 +325,51 @@ TEST(CpuTest, SymbolicAddressing) {
 // ---------------------------------------------------------------------------
 
 TEST(CpuTest, CycleCountMatchesTable) {
-  Machine m;
-  AssembleAndLoad(&m,
-                  "start:\n"
-                  "  mov #100, r4\n"   // #N->Rm: 2
-                  "  add r4, r5\n"     // Rn->Rm: 1
-                  "  mov r5, &0x1C00\n"  // Rn->&EDE: 4
-                  "  jmp next\n"       // 2
-                  "next:\n" +
-                      std::string(kStop));
-  // Run exactly 4 instructions.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    AssembleAndLoad(&m,
+                    "start:\n"
+                    "  mov #100, r4\n"   // #N->Rm: 2
+                    "  add r4, r5\n"     // Rn->Rm: 1
+                    "  mov r5, &0x1C00\n"  // Rn->&EDE: 4
+                    "  jmp next\n"       // 2
+                    "next:\n" +
+                        std::string(kStop));
+    // Run exactly 4 instructions.
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(m.cpu().Step(), StepResult::kOk);
+    }
+    EXPECT_EQ(m.cpu().cycle_count(), 2u + 1 + 4 + 2);
+    EXPECT_EQ(m.cpu().instruction_count(), 4u);
+    EXPECT_EQ(m.timer().now_cycles(), 2u + 1 + 4 + 2);
   }
-  EXPECT_EQ(m.cpu().cycle_count(), 2u + 1 + 4 + 2);
 }
 
 TEST(CpuTest, FramWaitStatesAddPenalty) {
-  Machine m0;
-  AssembleAndLoad(&m0,
-                  "start:\n"
-                  "  mov #1, r4\n" +
-                      std::string(kStop));
-  m0.cpu().Step();
-  const uint64_t no_wait = m0.cpu().cycle_count();
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m0;
+    m0.cpu().set_predecode(predecode);
+    AssembleAndLoad(&m0,
+                    "start:\n"
+                    "  mov #1, r4\n" +
+                        std::string(kStop));
+    m0.cpu().Step();
+    const uint64_t no_wait = m0.cpu().cycle_count();
 
-  Machine m1;
-  m1.bus().set_fram_wait_states(1);
-  AssembleAndLoad(&m1,
-                  "start:\n"
-                  "  mov #1, r4\n" +
-                      std::string(kStop));
-  m1.cpu().Step();
-  // mov #1, r4 with CG: single word fetched from FRAM -> +1 penalty.
-  EXPECT_EQ(m1.cpu().cycle_count(), no_wait + 1);
+    Machine m1;
+    m1.cpu().set_predecode(predecode);
+    m1.bus().set_fram_wait_states(1);
+    AssembleAndLoad(&m1,
+                    "start:\n"
+                    "  mov #1, r4\n" +
+                        std::string(kStop));
+    m1.cpu().Step();
+    // mov #1, r4 with CG: single word fetched from FRAM -> +1 penalty.
+    EXPECT_EQ(m1.cpu().cycle_count(), no_wait + 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,26 +377,30 @@ TEST(CpuTest, FramWaitStatesAddPenalty) {
 // ---------------------------------------------------------------------------
 
 TEST(CpuTest, TimerInterruptAndReti) {
-  Machine m;
-  RunAsm(&m,
-         ".equ TACTL, 0x0340\n"
-         ".equ TACCR0, 0x0346\n"
-         "start:\n"
-         "  mov #0x2400, sp\n"
-         "  mov #isr, &0xFFF0\n"    // timer vector
-         "  mov #200, &TACCR0\n"
-         "  mov #1, &TACTL\n"       // IE
-         "  eint\n"
-         "wait:\n"
-         "  cmp #1, r10\n"
-         "  jnz wait\n" +
-             std::string(kStop) +
-             "isr:\n"
-             "  mov #1, r10\n"
-             "  mov #2, &TACTL\n"   // clear IFG
-             "  reti\n",
-         50000);
-  EXPECT_EQ(m.cpu().reg(Reg::kR10), 1);
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    RunAsm(&m,
+           ".equ TACTL, 0x0340\n"
+           ".equ TACCR0, 0x0346\n"
+           "start:\n"
+           "  mov #0x2400, sp\n"
+           "  mov #isr, &0xFFF0\n"    // timer vector
+           "  mov #200, &TACCR0\n"
+           "  mov #1, &TACTL\n"       // IE
+           "  eint\n"
+           "wait:\n"
+           "  cmp #1, r10\n"
+           "  jnz wait\n" +
+               std::string(kStop) +
+               "isr:\n"
+               "  mov #1, r10\n"
+               "  mov #2, &TACTL\n"   // clear IFG
+               "  reti\n",
+           50000);
+    EXPECT_EQ(m.cpu().reg(Reg::kR10), 1);
+  }
 }
 
 TEST(CpuTest, InterruptIgnoredWithoutGie) {
@@ -412,27 +427,31 @@ TEST(CpuTest, InterruptIgnoredWithoutGie) {
 }
 
 TEST(CpuTest, CpuOffIdlesUntilInterrupt) {
-  Machine m;
-  RunAsm(&m,
-         ".equ TACTL, 0x0340\n"
-         ".equ TACCR0, 0x0346\n"
-         "start:\n"
-         "  mov #0x2400, sp\n"
-         "  mov #isr, &0xFFF0\n"
-         "  mov #500, &TACCR0\n"
-         "  mov #1, &TACTL\n"
-         "  bis #0x18, sr\n"  // CPUOFF | GIE
-         "  mov #7, r11\n"    // runs only after wake-up
-         + std::string(kStop) +
-             "isr:\n"
-             "  mov #1, r10\n"
-             "  mov #2, &TACTL\n"
-             "  bic #0x10, 0(sp)\n"  // clear CPUOFF in saved SR
-             "  reti\n",
-         50000);
-  EXPECT_EQ(m.cpu().reg(Reg::kR10), 1);
-  EXPECT_EQ(m.cpu().reg(Reg::kR11), 7);
-  EXPECT_GT(m.cpu().cycle_count(), 400u) << "should have idled until the compare fired";
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    RunAsm(&m,
+           ".equ TACTL, 0x0340\n"
+           ".equ TACCR0, 0x0346\n"
+           "start:\n"
+           "  mov #0x2400, sp\n"
+           "  mov #isr, &0xFFF0\n"
+           "  mov #500, &TACCR0\n"
+           "  mov #1, &TACTL\n"
+           "  bis #0x18, sr\n"  // CPUOFF | GIE
+           "  mov #7, r11\n"    // runs only after wake-up
+           + std::string(kStop) +
+               "isr:\n"
+               "  mov #1, r10\n"
+               "  mov #2, &TACTL\n"
+               "  bic #0x10, 0(sp)\n"  // clear CPUOFF in saved SR
+               "  reti\n",
+           50000);
+    EXPECT_EQ(m.cpu().reg(Reg::kR10), 1);
+    EXPECT_EQ(m.cpu().reg(Reg::kR11), 7);
+    EXPECT_GT(m.cpu().cycle_count(), 400u) << "should have idled until the compare fired";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -707,18 +726,22 @@ TEST(HostIoTest, StopCodePropagates) {
 }
 
 TEST(TimerTest, CounterTracksCycles) {
-  Machine m;
-  RunAsm(&m,
-         "start:\n"
-         "  mov &0x0342, r4\n"  // TARLO
-         "  nop\n"
-         "  nop\n"
-         "  mov &0x0342, r5\n" +
-             std::string(kStop));
-  uint16_t first = m.cpu().reg(Reg::kR4);
-  uint16_t second = m.cpu().reg(Reg::kR5);
-  // Two NOPs (1 cycle each) plus the second read (3 cycles to fetch).
-  EXPECT_EQ(second - first, 5);
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    RunAsm(&m,
+           "start:\n"
+           "  mov &0x0342, r4\n"  // TARLO
+           "  nop\n"
+           "  nop\n"
+           "  mov &0x0342, r5\n" +
+               std::string(kStop));
+    uint16_t first = m.cpu().reg(Reg::kR4);
+    uint16_t second = m.cpu().reg(Reg::kR5);
+    // Two NOPs (1 cycle each) plus the second read (3 cycles to fetch).
+    EXPECT_EQ(second - first, 5);
+  }
 }
 
 TEST(TimerTest, Tar16HasSixteenCyclePrecision) {
@@ -863,6 +886,15 @@ TEST(CountedRegionTest, UnmappedReadAndBslWriteDoNotCount) {
         RunCounted(spans, "start:\n  mov &0x2400, r4\n" + std::string(kStop), predecode);
     EXPECT_EQ(unmapped.outcome.result, StepResult::kHalted);
     EXPECT_EQ(unmapped.counted, 0u);
+    // The byte forms: a byte read of the hole and a byte store into the BSL
+    // stub halt uncounted too (BusTest.ByteAccessesFaultLikeWordAccesses
+    // pins their fault kinds).
+    for (const char* line : {"  mov.b &0x2401, r4\n", "  mov.b r4, &0x1001\n"}) {
+      const CountedRun byte =
+          RunCounted(spans, "start:\n" + std::string(line) + kStop, predecode);
+      EXPECT_EQ(byte.outcome.result, StepResult::kHalted) << line;
+      EXPECT_EQ(byte.counted, 0u) << line;
+    }
     // The BSL read counts; the refused write into the BSL stub does not.
     const CountedRun bsl = RunCounted(spans,
                                       "start:\n"
@@ -967,11 +999,11 @@ TEST(BusTest, DeviceTableDispatchesEveryByteOfEachDevice) {
       EXPECT_EQ(device->last_read, offset);
 
       const uint8_t expected_byte = high ? 0xA5 : static_cast<uint8_t>(offset);
-      EXPECT_EQ(bus.ReadByte(addr, AccessKind::kRead), expected_byte);
+      EXPECT_EQ(bus.ReadByte(addr), expected_byte);
 
       // Byte write: read-modify-write of the containing word.
       const int reads_before = device->reads;
-      bus.WriteByte(addr, 0x5C, AccessKind::kWrite);
+      bus.WriteByte(addr, 0x5C);
       EXPECT_EQ(device->reads, reads_before + 1);
       EXPECT_EQ(device->last_write, offset);
       EXPECT_EQ(device->last_value, high ? (0x5C00 | offset) : 0xA55C);
@@ -986,12 +1018,12 @@ TEST(BusTest, DeviceTableDispatchesEveryByteOfEachDevice) {
       writes += other->writes;
     }
     const uint16_t past = static_cast<uint16_t>(end);
-    bus.ReadByte(past, AccessKind::kRead);
+    bus.ReadByte(past);
     EXPECT_EQ(bus.fault(), BusFault::kUnmapped);
     bus.ClearFault();
-    bus.WriteByte(past, 0x5C, AccessKind::kWrite);
+    bus.WriteByte(past, 0x5C);
     bus.ReadWord(past, AccessKind::kRead);
-    bus.WriteWord(past, 0x1234, AccessKind::kWrite);
+    bus.WriteWord(past, 0x1234);
     bus.ClearFault();
     for (const auto& other : devices) {
       reads -= other->reads;
@@ -1000,6 +1032,26 @@ TEST(BusTest, DeviceTableDispatchesEveryByteOfEachDevice) {
     EXPECT_EQ(reads, 0) << "past " << HexWord(past);
     EXPECT_EQ(writes, 0) << "past " << HexWord(past);
   }
+}
+
+// Byte accesses classify addresses as word accesses do: the BSL reads (and
+// counts) as plain memory, refuses stores with kWriteToRom, and a hole reads
+// 0xFF with kUnmapped; the faults never count.
+TEST(BusTest, ByteAccessesFaultLikeWordAccesses) {
+  Bus bus;
+  bus.SetCountedRegions({{0x1000, 0x1010}, {0x2400, 0x2410}});
+  bus.PokeByte(0x1001, 0x77);
+  EXPECT_EQ(bus.ReadByte(0x2401), 0xFF);
+  EXPECT_EQ(bus.fault(), BusFault::kUnmapped);
+  bus.ClearFault();
+  bus.WriteByte(0x1001, 0x5C);
+  EXPECT_EQ(bus.fault(), BusFault::kWriteToRom);
+  EXPECT_EQ(bus.PeekByte(0x1001), 0x77);
+  EXPECT_EQ(bus.counted_accesses(), 0u);
+  bus.ClearFault();
+  EXPECT_EQ(bus.ReadByte(0x1001), 0x77);
+  EXPECT_EQ(bus.fault(), BusFault::kNone);
+  EXPECT_EQ(bus.counted_accesses(), 1u);
 }
 
 TEST(BusDeathTest, AttachDeviceRejectsOverlapAndOutOfSpaceRanges) {
@@ -1035,7 +1087,6 @@ TEST(TraceTest, RecordsRecentPcsOldestFirst) {
   ASSERT_EQ(recent.size(), 4u);
   EXPECT_EQ(recent[0], 0x4408);
   EXPECT_EQ(recent[3], 0x440E);
-  EXPECT_EQ(trace.total_recorded(), 8u);
 }
 
 TEST(TraceTest, PartialRingReportsOnlyRecorded) {
@@ -1045,28 +1096,6 @@ TEST(TraceTest, PartialRingReportsOnlyRecorded) {
   auto recent = trace.Recent();
   ASSERT_EQ(recent.size(), 2u);
   EXPECT_EQ(recent[0], 0x4400);
-}
-
-TEST(TraceTest, ClearEmptiesRingButKeepsLifetimeCount) {
-  ExecutionTrace trace(4);
-  for (uint16_t pc = 0x4400; pc < 0x440C; pc += 2) {
-    trace.Record(pc);
-  }
-  EXPECT_EQ(trace.total_recorded(), 6u);
-  EXPECT_EQ(trace.recorded_since_clear(), 6u);
-
-  trace.Clear();
-  EXPECT_TRUE(trace.Recent().empty());
-  // Lifetime vs since-clear: total_recorded never resets, since_clear does.
-  EXPECT_EQ(trace.total_recorded(), 6u);
-  EXPECT_EQ(trace.recorded_since_clear(), 0u);
-
-  trace.Record(0x5000);
-  EXPECT_EQ(trace.total_recorded(), 7u);
-  EXPECT_EQ(trace.recorded_since_clear(), 1u);
-  auto recent = trace.Recent();
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0], 0x5000);
 }
 
 TEST(TraceTest, CpuFeedsTraceAndRenderDisassembles) {
@@ -1081,7 +1110,7 @@ TEST(TraceTest, CpuFeedsTraceAndRenderDisassembles) {
   auto recent = trace.Recent();
   ASSERT_GE(recent.size(), 3u);
   EXPECT_EQ(recent[0], kFramStart);
-  std::string rendered = RenderTrace(trace, m.bus());
+  std::string rendered = RenderTrace(trace.Recent(), m.bus());
   EXPECT_NE(rendered.find("mov"), std::string::npos);
   EXPECT_NE(rendered.find("0x4400"), std::string::npos);
 }
@@ -1153,16 +1182,20 @@ TEST(WatchdogTest, HeldByDefault) {
 }
 
 TEST(WatchdogTest, ExpiryForcesPuc) {
-  Machine m;
-  // Enable the dog on the shortest interval (2^6 = 64 cycles) and spin.
-  AssembleAndLoad(&m,
-                  "start:\n"
-                  "  mov #0x5A07, &0x015C\n"  // password | WDTIS=7 (64 cycles)
-                  "spin:\n"
-                  "  jmp spin\n");
-  m.Run(2000);
-  EXPECT_GE(m.watchdog().expiries(), 1u);
-  EXPECT_GE(m.puc_count(), 1u);
+  for (bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    // Enable the dog on the shortest interval (2^6 = 64 cycles) and spin.
+    AssembleAndLoad(&m,
+                    "start:\n"
+                    "  mov #0x5A07, &0x015C\n"  // password | WDTIS=7 (64 cycles)
+                    "spin:\n"
+                    "  jmp spin\n");
+    m.Run(2000);
+    EXPECT_GE(m.watchdog().expiries(), 1u);
+    EXPECT_GE(m.puc_count(), 1u);
+  }
 }
 
 TEST(WatchdogTest, KickingPreventsExpiry) {
