@@ -40,16 +40,15 @@ void on_button(int id) {
 // of one check flavour, which requires the checks to still be there (the
 // optimizer deletes every check in the synthetic app's masked loop).
 double PerIter(const AppSpec& app, MemoryModel model, uint16_t button) {
-  auto rig = BootApp(app, model, /*fram_wait_states=*/0, /*future_mpu=*/false,
-                     /*zero_shared_stack=*/false, /*optimize_checks=*/false);
+  auto rig = BootApp(app, {.model = model, .optimize_checks = false}, /*fram_wait_states=*/0);
   return MeanButtonCycles(rig.get(), button, kRuns) / kLoopIters;
 }
 
 // Full-dispatch cycles for the check-optimizer ablation.
 double DispatchCycles(const AppSpec& app, MemoryModel model, uint16_t button,
                       bool optimize_checks) {
-  auto rig = BootApp(app, model, /*fram_wait_states=*/0, /*future_mpu=*/false,
-                     /*zero_shared_stack=*/false, optimize_checks);
+  auto rig = BootApp(app, {.model = model, .optimize_checks = optimize_checks},
+                     /*fram_wait_states=*/0);
   return MeanButtonCycles(rig.get(), button, kRuns);
 }
 

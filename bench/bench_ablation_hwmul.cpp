@@ -32,28 +32,15 @@ void on_button(int id) {
 
 double Measure(const AppSpec& app, uint16_t button, bool hw_multiplier,
                bool warmup_accel) {
-  AftOptions aft;
-  aft.model = MemoryModel::kMpu;
-  aft.use_hw_multiplier = hw_multiplier;
-  auto fw = BuildFirmware({{app.name, app.source}}, aft);
-  if (!fw.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", fw.status().ToString().c_str());
-    std::exit(1);
-  }
-  BenchRig rig;
-  OsOptions options;
-  options.fram_wait_states = 1;
-  rig.os = std::make_unique<AmuletOs>(&rig.machine, std::move(*fw), options);
-  if (!rig.os->Boot().ok()) {
-    std::exit(1);
-  }
+  auto rig = BootApp(app, {.model = MemoryModel::kMpu, .use_hw_multiplier = hw_multiplier},
+                     /*fram_wait_states=*/1);
   if (warmup_accel) {
-    rig.os->sensors().set_mode(ActivityMode::kWalking);
-    if (!rig.os->RunFor(5000).ok()) {
+    rig->os->sensors().set_mode(ActivityMode::kWalking);
+    if (!rig->os->RunFor(5000).ok()) {
       std::exit(1);
     }
   }
-  return MeanButtonCycles(&rig, button, kRuns);
+  return MeanButtonCycles(rig.get(), button, kRuns);
 }
 
 int Run() {

@@ -20,7 +20,8 @@ struct Cost {
 };
 
 Cost Measure(MemoryModel model, bool future_mpu) {
-  auto rig = BootApp(SyntheticApp(), model, /*fram_wait_states=*/1, future_mpu);
+  auto rig = BootApp(SyntheticApp(), {.model = model, .future_mpu = future_mpu},
+                     /*fram_wait_states=*/1);
   Cost cost;
   cost.mem = MeanButtonCycles(rig.get(), 1, kRuns) / kLoopIters;
   cost.api = MeanButtonCycles(rig.get(), 2, kRuns) / kLoopIters;

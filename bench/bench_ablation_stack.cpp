@@ -24,8 +24,8 @@ void on_button(int id) { hits++; }
 }
 
 double DispatchCost(MemoryModel model, bool zero_shared_stack) {
-  auto rig = BootApp(TinyHandlerApp(), model, /*fram_wait_states=*/1,
-                     /*future_mpu=*/false, zero_shared_stack);
+  auto rig = BootApp(TinyHandlerApp(), {.model = model, .zero_shared_stack = zero_shared_stack},
+                     /*fram_wait_states=*/1);
   return MeanButtonCycles(rig.get(), 0, kRuns);
 }
 

@@ -25,7 +25,7 @@ struct Workload {
 };
 
 double MeasureWorkload(const Workload& workload, MemoryModel model, int wait_states) {
-  auto rig = BootApp(*workload.app, model, wait_states);
+  auto rig = BootApp(*workload.app, {.model = model}, wait_states);
   if (workload.needs_accel_warmup) {
     rig->os->sensors().set_mode(ActivityMode::kWalking);
     Status status = rig->os->RunFor(5000);  // fill the sample windows

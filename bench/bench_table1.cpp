@@ -31,7 +31,7 @@ struct Row {
 };
 
 Row MeasureModel(MemoryModel model, int wait_states) {
-  auto rig = BootApp(SyntheticApp(), model, wait_states);
+  auto rig = BootApp(SyntheticApp(), {.model = model}, wait_states);
   const double empty = MeanButtonCycles(rig.get(), 0, kRuns) / kLoopIters;
   const double mem = MeanButtonCycles(rig.get(), 1, kRuns) / kLoopIters;
   const double api = MeanButtonCycles(rig.get(), 2, kRuns) / kLoopIters;

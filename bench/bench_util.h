@@ -5,6 +5,7 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/apps/app_sources.h"
 #include "src/common/strings.h"
 #include "src/os/os.h"
+#include "src/scope/json.h"
 
 namespace amulet {
 
@@ -23,28 +25,14 @@ struct BenchRig {
   std::unique_ptr<AmuletOs> os;
 };
 
-// Builds + boots a single-app firmware. Dies loudly on error (benchmarks are
-// developer tools).
-// Build-configured default of the phase-2.5 check optimizer (-DAMULET_CHECK_OPT).
-#if defined(AMULET_CHECK_OPT_DISABLED)
-inline constexpr bool kBenchCheckOptDefault = false;
-#else
-inline constexpr bool kBenchCheckOptDefault = true;
-#endif
-
-inline std::unique_ptr<BenchRig> BootApp(const AppSpec& app, MemoryModel model,
-                                         int fram_wait_states, bool future_mpu = false,
-                                         bool zero_shared_stack = false,
-                                         bool optimize_checks = kBenchCheckOptDefault) {
-  AftOptions aft;
-  aft.model = model;
-  aft.future_mpu = future_mpu;
-  aft.zero_shared_stack = zero_shared_stack;
-  aft.optimize_checks = optimize_checks;
+// Builds + boots a single-app firmware under the log-only fault policy. Dies
+// loudly on error (benchmarks are developer tools).
+inline std::unique_ptr<BenchRig> BootApp(const AppSpec& app, const AftOptions& aft,
+                                         int fram_wait_states) {
   auto fw = BuildFirmware({{app.name, app.source}}, aft);
   if (!fw.ok()) {
     std::fprintf(stderr, "BuildFirmware(%s, %s) failed: %s\n", app.name.c_str(),
-                 std::string(MemoryModelName(model)).c_str(), fw.status().ToString().c_str());
+                 std::string(MemoryModelName(aft.model)).c_str(), fw.status().ToString().c_str());
     std::exit(1);
   }
   auto rig = std::make_unique<BenchRig>();
@@ -93,7 +81,8 @@ inline void PrintRule(int width = 86) {
 // Machine-readable benchmark output: collects flat scalars plus an array of
 // result rows and writes them as BENCH_<name>.json in the working directory,
 // so result tracking does not have to scrape the human tables. Number
-// rendering is locale-independent (snprintf %.17g round-trips doubles).
+// rendering is locale-independent (snprintf %.17g round-trips doubles), and
+// a non-finite number is written as null.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench_name)
@@ -108,7 +97,7 @@ class BenchJson {
     scalars_.emplace_back(key, Number(value));
   }
   void Scalar(const std::string& key, const std::string& value) {
-    scalars_.emplace_back(key, Quote(value));
+    scalars_.emplace_back(key, JsonQuoted(value));
   }
 
   // Starts a new row in "results"; Field() calls attach to the latest row.
@@ -120,7 +109,25 @@ class BenchJson {
     rows_.back().emplace_back(key, StrFormat("%llu", static_cast<unsigned long long>(value)));
   }
   void Field(const std::string& key, const std::string& value) {
-    rows_.back().emplace_back(key, Quote(value));
+    rows_.back().emplace_back(key, JsonQuoted(value));
+  }
+
+  // The JSON document: the bench name, the scalars, then the result rows.
+  std::string Render() const {
+    std::string out = "{\n  \"bench\": " + JsonQuoted(name_);
+    for (const auto& [key, value] : scalars_) {
+      out += ",\n  " + JsonQuoted(key) + ": " + value;
+    }
+    out += ",\n  \"results\": [";
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      out += i == 0 ? "\n    {" : ",\n    {";
+      for (size_t f = 0; f < rows_[i].size(); ++f) {
+        out += (f == 0 ? "" : ", ") + JsonQuoted(rows_[i][f].first) + ": " + rows_[i][f].second;
+      }
+      out += "}";
+    }
+    out += rows_.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    return out;
   }
 
   // Writes BENCH_<name>.json (adding wall_seconds since construction or the
@@ -129,20 +136,7 @@ class BenchJson {
   bool Write() {
     Scalar("wall_seconds",
            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count());
-    std::string out = "{\n  \"bench\": " + Quote(name_);
-    for (const auto& [key, value] : scalars_) {
-      out += ",\n  " + Quote(key) + ": " + value;
-    }
-    out += ",\n  \"results\": [";
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      out += i == 0 ? "\n    {" : ",\n    {";
-      for (size_t f = 0; f < rows_[i].size(); ++f) {
-        out += (f == 0 ? "" : ", ") + Quote(rows_[i][f].first) + ": " + rows_[i][f].second;
-      }
-      out += "}";
-    }
-    out += rows_.empty() ? "]\n}\n" : "\n  ]\n}\n";
-
+    const std::string out = Render();
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -156,17 +150,8 @@ class BenchJson {
   }
 
  private:
-  static std::string Number(double value) { return StrFormat("%.17g", value); }
-  static std::string Quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-      }
-      out += c;
-    }
-    out += '"';
-    return out;
+  static std::string Number(double value) {
+    return std::isfinite(value) ? StrFormat("%.17g", value) : "null";
   }
 
   std::string name_;

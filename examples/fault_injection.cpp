@@ -90,7 +90,7 @@ void Demonstrate(amulet::MemoryModel model) {
     }
     if (os.faults().size() > faults_before) {
       const amulet::FaultRecord& fault = os.faults().back();
-      if (fault.code == 0xDEAD) {
+      if (fault.kind == amulet::FaultKind::kCpuCrash) {
         std::printf("  [%d] %-42s -> CPU CRASH (isolation failed; device reset)\n", button,
                     kScenario[button]);
       } else {
@@ -159,7 +159,8 @@ void on_button(int id) {
       continue;
     }
     const bool hijacked = machine.bus().PeekWord(decoy_addr) == 1;
-    const bool ret_fault = !os.faults().empty() && os.faults().back().code == 3;
+    const bool ret_fault =
+        !os.faults().empty() && os.faults().back().kind == amulet::FaultKind::kCheckReturn;
     if (shadow && ret_fault && !hijacked) {
       std::printf("  [shadow] hijack CAUGHT before the corrupted return executed: %s\n",
                   os.faults().back().description.c_str());

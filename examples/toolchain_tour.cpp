@@ -42,8 +42,28 @@ void on_timer(int timer_id) {
   total++;
 }
 )";
+  // FeatureLimited forbids pointers, so there record() takes an index.
+  const char* kIndexSource = R"(
+int samples[8];
+int total;
 
-  amulet::AppSource app{"tour", kSource};
+void record(int slot, int value) {
+  samples[slot] = value;    /* runtime index: phase 2 inserts an index check */
+}
+
+void on_init(void) {
+  amulet_timer_start(0, 1000);
+}
+
+void on_timer(int timer_id) {
+  int v = amulet_temp_read();
+  record(total & 7, v);
+  total++;
+}
+)";
+
+  amulet::AppSource app{
+      "tour", model == amulet::MemoryModel::kFeatureLimited ? kIndexSource : kSource};
   auto trace = amulet::TraceAppBuild(app, model);
   if (!trace.ok()) {
     std::printf("build failed: %s\n", trace.status().ToString().c_str());
@@ -92,8 +112,8 @@ void on_timer(int timer_id) {
               trace->checks.index_checks, trace->checks.ret_checks);
 
   if (!trace->ir_after_opt.empty()) {
-    // on_timer's samples[total & 7] store is provably in bounds, so its check
-    // disappears; record()'s pointer deref stays (the callee can't bound it).
+    // record()'s store stays checked: the callee cannot bound its pointer
+    // or index.
     std::printf("--- phase 2.5: IR of on_timer() after check optimization ---\n");
     print_function(trace->ir_after_opt, "tour_f_on_timer:");
     std::printf("\nelided: %d data, %d code, %d index check(s); hoisted: %d "

@@ -10,45 +10,6 @@ namespace amulet {
 
 namespace {
 constexpr double kSecondsPerWeek = 7 * 24 * 3600.0;
-
-// Synthetic event arguments for profiling dispatches.
-struct EventArgs {
-  uint16_t a0 = 0;
-  uint16_t a1 = 0;
-  uint16_t a2 = 0;
-};
-
-EventArgs ArgsFor(EventType type, SensorSuite* sensors, uint64_t t_ms) {
-  EventArgs args;
-  switch (type) {
-    case EventType::kAccel: {
-      AccelSample s = sensors->Accel(t_ms);
-      args.a0 = static_cast<uint16_t>(s.x_mg);
-      args.a1 = static_cast<uint16_t>(s.y_mg);
-      args.a2 = static_cast<uint16_t>(s.z_mg);
-      break;
-    }
-    case EventType::kHeartRate:
-      args.a0 = static_cast<uint16_t>(sensors->HeartRateBpm(t_ms));
-      break;
-    case EventType::kTimer:
-      args.a0 = 0;
-      break;
-    case EventType::kTemp:
-      args.a0 = static_cast<uint16_t>(sensors->TempCentiC(t_ms));
-      break;
-    case EventType::kLight:
-      args.a0 = static_cast<uint16_t>(sensors->LightLux(t_ms));
-      break;
-    case EventType::kBattery:
-      args.a0 = static_cast<uint16_t>(sensors->BatteryPercent(t_ms));
-      break;
-    default:
-      break;
-  }
-  return args;
-}
-
 }  // namespace
 
 Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOptions& options) {
@@ -87,7 +48,7 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
     HandlerProfile handler;
     for (int sample = 0; sample < options.samples_per_event; ++sample) {
       t_ms += 37;  // vary synthetic inputs
-      EventArgs args = ArgsFor(type, &os.sensors(), t_ms);
+      const EventArgs args = EventArgsFor(type, /*timer_id=*/0, &os.sensors(), t_ms);
       const uint64_t accesses_before = machine.bus().counted_accesses();
       ASSIGN_OR_RETURN(AmuletOs::DispatchResult r,
                        os.Deliver(0, type, args.a0, args.a1, args.a2));

@@ -1,12 +1,24 @@
 #include "src/fleet/fault_ledger.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/common/binio.h"
 #include "src/common/strings.h"
 #include "src/scope/json.h"
 
 namespace amulet {
+
+namespace {
+// The exemplar rule: a record from (device, at_cycles) replaces `current`
+// when the bucket has none yet, or when it comes from a lower device id, or
+// from the same device at an earlier cycle.
+bool Precedes(int device, uint64_t at_cycles, const FaultExemplar& current) {
+  return current.exemplar_device < 0 ||
+         (device >= 0 &&
+          std::tie(device, at_cycles) < std::tie(current.exemplar_device, current.at_cycles));
+}
+}  // namespace
 
 void FaultLedger::Record(const FaultRecord& record, int device_id,
                          const std::string& app_name) {
@@ -15,51 +27,29 @@ void FaultLedger::Record(const FaultRecord& record, int device_id,
   bucket.pc = record.pc;
   bucket.scope = record.scope;
   bucket.count += 1;
-  // Within a single device's ledger the exemplar is the earliest record;
   // `devices` counts 1 per source ledger and becomes "distinct devices"
   // after the per-device ledgers are merged (each device merges once).
-  const bool take = bucket.exemplar_device < 0 ||
-                    device_id < bucket.exemplar_device ||
-                    (device_id == bucket.exemplar_device && record.at_cycles < bucket.at_cycles);
   if (bucket.devices == 0) {
     bucket.devices = 1;
   }
-  if (take) {
-    bucket.exemplar_device = device_id;
-    bucket.addr = record.addr;
-    bucket.at_cycles = record.at_cycles;
-    bucket.app_index = record.app_index;
-    bucket.app_name = app_name;
-    bucket.description = record.description;
-    bucket.call_stack = record.call_stack;
-    bucket.flight = record.flight;
+  if (Precedes(device_id, record.at_cycles, bucket)) {
+    static_cast<FaultExemplar&>(bucket) = {
+        device_id, record.addr,        record.at_cycles,  record.app_index,
+        app_name,  record.description, record.call_stack, record.flight};
   }
 }
 
 void FaultLedger::Merge(const FaultLedger& other) {
   for (const auto& [key, theirs] : other.buckets_) {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) {
-      buckets_.emplace(key, theirs);
+    auto [it, inserted] = buckets_.try_emplace(key, theirs);
+    if (inserted) {
       continue;
     }
     FaultBucket& ours = it->second;
     ours.count += theirs.count;
     ours.devices += theirs.devices;
-    const bool take =
-        ours.exemplar_device < 0 ||
-        (theirs.exemplar_device >= 0 &&
-         (theirs.exemplar_device < ours.exemplar_device ||
-          (theirs.exemplar_device == ours.exemplar_device && theirs.at_cycles < ours.at_cycles)));
-    if (take) {
-      ours.exemplar_device = theirs.exemplar_device;
-      ours.addr = theirs.addr;
-      ours.at_cycles = theirs.at_cycles;
-      ours.app_index = theirs.app_index;
-      ours.app_name = theirs.app_name;
-      ours.description = theirs.description;
-      ours.call_stack = theirs.call_stack;
-      ours.flight = theirs.flight;
+    if (Precedes(theirs.exemplar_device, theirs.at_cycles, ours)) {
+      static_cast<FaultExemplar&>(ours) = theirs;
     }
   }
 }
@@ -191,8 +181,16 @@ Status FaultLedger::LoadState(SnapshotReader& r) {
   const uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     FaultBucket b;
-    b.kind = static_cast<FaultKind>(r.U8());
-    b.scope = static_cast<RegionTag>(r.U8());
+    const uint8_t kind = r.U8();
+    const uint8_t scope = r.U8();
+    if (r.ok() && kind >= static_cast<uint8_t>(FaultKind::kCount)) {
+      r.Fail(InvalidArgumentError(StrFormat("fault ledger: fault kind %u out of range", kind)));
+    }
+    if (r.ok() && scope >= kRegionTagCount) {
+      r.Fail(InvalidArgumentError(StrFormat("fault ledger: region tag %u out of range", scope)));
+    }
+    b.kind = static_cast<FaultKind>(kind);
+    b.scope = static_cast<RegionTag>(scope);
     b.pc = r.U16();
     b.count = r.U64();
     b.devices = r.U64();
@@ -212,10 +210,24 @@ Status FaultLedger::LoadState(SnapshotReader& r) {
       event.cycles = r.U64();
       event.a = r.U16();
       event.b = r.U16();
-      event.kind = static_cast<FlightEventKind>(r.U8());
+      const uint8_t event_kind = r.U8();
+      if (r.ok() && (event_kind < static_cast<uint8_t>(FlightEventKind::kBranch) ||
+                     event_kind > static_cast<uint8_t>(FlightEventKind::kHostIo))) {
+        r.Fail(InvalidArgumentError(
+            StrFormat("fault ledger: flight event kind %u out of range", event_kind)));
+      }
+      event.kind = static_cast<FlightEventKind>(event_kind);
       b.flight.push_back(event);
     }
-    buckets_.emplace(KeyFor(b.kind, b.scope, b.pc), std::move(b));
+    const Key key = KeyFor(b.kind, b.scope, b.pc);
+    if (r.ok() && buckets_.contains(key)) {
+      r.Fail(InvalidArgumentError(StrFormat(
+          "fault ledger: two buckets with signature %s/%s/%s", FaultKindName(b.kind),
+          RegionTagName(b.scope), HexWord(b.pc).c_str())));
+    }
+    if (r.ok()) {
+      buckets_.emplace(key, std::move(b));
+    }
   }
   return r.status();
 }

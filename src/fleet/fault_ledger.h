@@ -21,19 +21,12 @@
 
 namespace amulet {
 
-// One crash bucket. Signature fields identify it; the rest accumulate.
-// The exemplar is the record from the lowest-numbered device that hit the
-// bucket (earliest simulated cycle breaking ties within that device) — a
-// deterministic choice under any merge order.
-struct FaultBucket {
-  FaultKind kind = FaultKind::kUnknown;
-  uint16_t pc = 0;
-  RegionTag scope = RegionTag::kOther;
-
-  uint64_t count = 0;    // fault records folded into this bucket
-  uint64_t devices = 0;  // distinct devices among them
-
-  int exemplar_device = -1;
+// The record a bucket shows for all of its faults: the one from the
+// lowest-numbered device that hit the bucket, the earliest simulated cycle
+// breaking ties within that device — a deterministic choice under any merge
+// order.
+struct FaultExemplar {
+  int exemplar_device = -1;  // -1: the bucket has no exemplar yet
   uint16_t addr = 0;
   uint64_t at_cycles = 0;
   int app_index = -1;
@@ -41,6 +34,16 @@ struct FaultBucket {
   std::string description;
   std::vector<uint16_t> call_stack;
   std::vector<FlightEvent> flight;
+};
+
+// One crash bucket. Signature fields identify it; the counts accumulate.
+struct FaultBucket : FaultExemplar {
+  FaultKind kind = FaultKind::kUnknown;
+  uint16_t pc = 0;
+  RegionTag scope = RegionTag::kOther;
+
+  uint64_t count = 0;    // fault records folded into this bucket
+  uint64_t devices = 0;  // distinct devices among them
 };
 
 class FaultLedger {
@@ -72,7 +75,9 @@ class FaultLedger {
   // details.
   std::string RenderTriage(size_t k) const;
 
-  // Binary round trip for the AMFC checkpoint section.
+  // Binary round trip for the AMFC checkpoint section. LoadState rejects
+  // what SaveState never writes: an out-of-range fault kind, region tag or
+  // flight-event kind, and two buckets with one signature.
   void SaveState(SnapshotWriter& w) const;
   Status LoadState(SnapshotReader& r);
 

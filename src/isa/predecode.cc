@@ -16,9 +16,7 @@ void PredecodeInto(uint16_t addr, const uint16_t words[3], PredecodedInsn* out) 
   // and the identical success/failure verdict (which depends only on w0).
   Result<Instruction> decoded = Decode(std::span<const uint16_t>(words, 3));
   if (!decoded.ok()) {
-    out->cls = InsnClass::kInvalid;
-    out->length_words = 1;
-    return;
+    return;  // invalid and one word long, as the default record is
   }
   out->insn = std::move(decoded).value();
 
@@ -38,9 +36,7 @@ void PredecodeInto(uint16_t addr, const uint16_t words[3], PredecodedInsn* out) 
   out->next_pc = next;
   out->length_words = static_cast<uint8_t>(length);
   out->base_cycles = static_cast<uint8_t>(InstructionCycles(insn));
-  out->cls = IsJump(insn.op)        ? InsnClass::kJump
-             : IsFormatTwo(insn.op) ? InsnClass::kFormatTwo
-                                    : InsnClass::kFormatOne;
+  out->valid = true;
 }
 
 }  // namespace amulet

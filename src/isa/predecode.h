@@ -17,16 +17,6 @@
 
 namespace amulet {
 
-// Execution class of a predecoded record; kInvalid marks words that fail to
-// decode (reserved/undefined encodings) so the fast path can replay the
-// interpreter's invalid-opcode halt without re-decoding.
-enum class InsnClass : uint8_t {
-  kFormatOne,
-  kFormatTwo,
-  kJump,
-  kInvalid,
-};
-
 struct PredecodedInsn {
   // Fully resolved instruction: extension words are already filled in from
   // the instruction stream, exactly as the interpreter would fetch them.
@@ -42,15 +32,18 @@ struct PredecodedInsn {
   // InstructionCycles() of the resolved instruction; pure in the decoded
   // operand modes, so it is safe to precompute.
   uint8_t base_cycles = 0;
-  InsnClass cls = InsnClass::kInvalid;
+  // False when the first word fails to decode (a reserved or undefined
+  // encoding), so the fast path can replay the interpreter's invalid-opcode
+  // halt without re-decoding.
+  bool valid = false;
 };
 
 // Decodes the instruction whose first word sits at `addr`, with `words`
 // holding the three consecutive stream words starting there (unused tail
-// words are ignored). On any decode failure the record comes back as
-// InsnClass::kInvalid with length 1 -- decode success and instruction length
-// are pure functions of words[0], so this mirrors the interpreter's
-// probe-then-fetch sequence exactly.
+// words are ignored). On any decode failure the record comes back invalid
+// with length 1 -- decode success and instruction length are pure functions
+// of words[0], so this mirrors the interpreter's probe-then-fetch sequence
+// exactly.
 void PredecodeInto(uint16_t addr, const uint16_t words[3], PredecodedInsn* out);
 
 }  // namespace amulet

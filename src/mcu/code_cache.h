@@ -47,6 +47,9 @@ class CodeCache {
     uint8_t handler = 0;
     PredecodedInsn pd;
   };
+  static_assert(sizeof(Entry) == 32,
+                "a cache entry is 32 bytes, two per cache line: a 28-byte entry ran "
+                "bench_sim's alu_reg ~8% slower (92 vs 100 M insn/s)");
 
   // Host-side effectiveness counters, maintained by Cpu::StepFast() (hits,
   // misses, slow paths) and by the invalidation entry points below. Never

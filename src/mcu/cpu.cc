@@ -770,7 +770,7 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
                            static_cast<uint64_t>(wait_states));
   }
 
-  if (pd.cls == InsnClass::kInvalid) {
+  if (!pd.valid) {
     return Halt(HaltReason::kInvalidOpcode, insn_addr);
   }
 

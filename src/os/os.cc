@@ -1,6 +1,7 @@
 #include "src/os/os.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/strings.h"
 #include "src/mcu/mpu.h"
@@ -11,52 +12,106 @@
 namespace amulet {
 
 namespace {
-// Forensic bounds: how far the call-stack scan walks and how much flight
-// tail a record carries. Small on purpose — records are per-fault, and
-// fleets with chronically faulting apps produce many of them.
+// Cycles a handler may run before the OS stops it as a runaway.
+constexpr uint64_t kHandlerCycleBudget = 20'000'000;
+// Forensic bounds: how many retired instructions a record keeps, how far the
+// call-stack scan walks and how much flight tail a record carries. Small on
+// purpose — records are per-fault, and fleets with chronically faulting apps
+// produce many of them.
+constexpr size_t kTraceDepth = 16;
 constexpr uint32_t kStackScanWords = 64;
 constexpr size_t kMaxCallStackFrames = 8;
 constexpr size_t kFaultFlightTail = 32;
+
+// One definition per FaultKind, in enum order.
+struct FaultKindDef {
+  const char* name;  // FaultKindName()
+  // The HOSTIO fault code that identifies the kind and that its records
+  // carry; -1 where a record carries its source's code instead (the MPU's
+  // violation flags, a code no check stub writes).
+  int code;
+  const char* instant;  // tracer instant emitted when the fault is recorded
+  // The description after "app '<name>': ".
+  std::string (*describe)(uint16_t code, uint16_t addr, HaltReason halt);
+};
+
+std::string RunawayAt(uint16_t /*code*/, uint16_t addr, HaltReason /*halt*/) {
+  return "runaway handler stopped at " + HexWord(addr);
+}
+
+constexpr FaultKindDef kFaultKinds[] = {
+    {"unknown", -1, "os.fault.software", RunawayAt},
+    {"check-index", 1, "os.fault.software",
+     [](uint16_t, uint16_t addr, HaltReason) {
+       return StrFormat("array index %u out of bounds", static_cast<unsigned>(addr));
+     }},
+    {"check-memory", 2, "os.fault.software",
+     [](uint16_t, uint16_t addr, HaltReason) {
+       return "pointer check failed for address " + HexWord(addr);
+     }},
+    {"check-return", 3, "os.fault.software",
+     [](uint16_t, uint16_t addr, HaltReason) {
+       return "corrupted return address " + HexWord(addr);
+     }},
+    {"mpu-violation", -1, "os.fault.mpu",
+     [](uint16_t code, uint16_t addr, HaltReason) {
+       return StrFormat("MPU violation (flags 0x%x) at %s", static_cast<unsigned>(code),
+                        HexWord(addr).c_str());
+     }},
+    {"runaway", 0xFFFF, "os.fault.software", RunawayAt},
+    {"cpu-crash", 0xDEAD, "os.fault.crash",
+     [](uint16_t, uint16_t addr, HaltReason halt) {
+       return StrFormat("CRASHED THE CPU (halt reason %d at %s) — device reset",
+                        static_cast<int>(halt), HexWord(addr).c_str());
+     }},
+};
+static_assert(std::size(kFaultKinds) == static_cast<size_t>(FaultKind::kCount));
+
+// The kind of a software fault stop, from the code its stub wrote to HOSTIO.
+FaultKind SoftwareFaultKind(uint16_t code) {
+  for (size_t k = 0; k < std::size(kFaultKinds); ++k) {
+    if (kFaultKinds[k].code == code) {
+      return static_cast<FaultKind>(k);
+    }
+  }
+  return FaultKind::kUnknown;
+}
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kUnknown:
-      return "unknown";
-    case FaultKind::kCheckIndex:
-      return "check-index";
-    case FaultKind::kCheckMemory:
-      return "check-memory";
-    case FaultKind::kCheckReturn:
-      return "check-return";
-    case FaultKind::kMpuViolation:
-      return "mpu-violation";
-    case FaultKind::kRunaway:
-      return "runaway";
-    case FaultKind::kCpuCrash:
-      return "cpu-crash";
-  }
-  return "?";
+  const size_t k = static_cast<size_t>(kind);
+  return k < std::size(kFaultKinds) ? kFaultKinds[k].name : "?";
 }
 
-FaultKind ClassifyFault(bool from_mpu, uint16_t code) {
-  if (from_mpu) {
-    return FaultKind::kMpuViolation;
-  }
-  switch (code) {
-    case 1:
-      return FaultKind::kCheckIndex;
-    case 2:
-      return FaultKind::kCheckMemory;
-    case 3:
-      return FaultKind::kCheckReturn;
-    case 0xFFFF:
-      return FaultKind::kRunaway;
-    case 0xDEAD:
-      return FaultKind::kCpuCrash;
+EventArgs EventArgsFor(EventType type, int timer_id, SensorSuite* sensors, uint64_t t_ms) {
+  EventArgs args;
+  switch (type) {
+    case EventType::kTimer:
+      args.a0 = static_cast<uint16_t>(timer_id);
+      break;
+    case EventType::kAccel: {
+      const AccelSample s = sensors->Accel(t_ms);
+      args.a0 = static_cast<uint16_t>(s.x_mg);
+      args.a1 = static_cast<uint16_t>(s.y_mg);
+      args.a2 = static_cast<uint16_t>(s.z_mg);
+      break;
+    }
+    case EventType::kHeartRate:
+      args.a0 = static_cast<uint16_t>(sensors->HeartRateBpm(t_ms));
+      break;
+    case EventType::kTemp:
+      args.a0 = static_cast<uint16_t>(sensors->TempCentiC(t_ms));
+      break;
+    case EventType::kLight:
+      args.a0 = static_cast<uint16_t>(sensors->LightLux(t_ms));
+      break;
+    case EventType::kBattery:
+      args.a0 = static_cast<uint16_t>(sensors->BatteryPercent(t_ms));
+      break;
     default:
-      return FaultKind::kUnknown;
+      break;
   }
+  return args;
 }
 
 std::string RenderFaultForensics(const FaultRecord& record, const Bus& bus) {
@@ -97,29 +152,27 @@ AmuletOs::AmuletOs(Machine* machine, Firmware firmware, OsOptions options)
     : AmuletOs(machine, std::make_shared<const Firmware>(std::move(firmware)), options) {}
 
 AmuletOs::AmuletOs(Machine* machine, std::shared_ptr<const Firmware> firmware, OsOptions options)
-    : machine_(machine),
-      firmware_(std::move(firmware)),
-      options_(options),
-      sensors_(options.sensor_seed) {
-  const size_t n = firmware_->apps.size();
-  subs_.resize(n);
-  stats_.resize(n);
-  enabled_.assign(n, true);
-  displays_.resize(n);
+    : machine_(machine), firmware_(std::move(firmware)), options_(options) {
+  host_.apps.resize(firmware_->apps.size());
+  host_.sensors = SensorSuite(options.sensor_seed);
+}
+
+void AmuletOs::WireMachine() {
+  machine_->bus().set_fram_wait_states(options_.fram_wait_states);
+  trace_ = ExecutionTrace(kTraceDepth);
+  machine_->cpu().set_trace(&trace_);
+  machine_->hostio().SetSyscallHandler(
+      [this](const SyscallRequest& request) { return HandleSyscall(request); });
 }
 
 Status AmuletOs::Boot() {
-  machine_->bus().set_fram_wait_states(options_.fram_wait_states);
-  if (options_.trace_depth > 0) {
-    trace_ = ExecutionTrace(static_cast<size_t>(options_.trace_depth));
-    machine_->cpu().set_trace(&trace_);
-  }
+  WireMachine();
   LoadImage(firmware_->image, &machine_->bus());
   // Fault attribution support. The map is immutable per firmware and shared
   // with every BootFromSnapshot() clone; the code-range list filters the
   // call-stack scan (app data/stack chunks are not plausible return sites).
-  region_map_ = std::make_shared<RegionMap>(BuildRegionMap(*firmware_));
-  code_ranges_.clear();
+  host_.region_map = std::make_shared<RegionMap>(BuildRegionMap(*firmware_));
+  host_.code_ranges.clear();
   for (const auto& [base, bytes] : firmware_->image.chunks) {
     bool is_app_data = false;
     for (const AppImage& app : firmware_->apps) {
@@ -129,14 +182,12 @@ Status AmuletOs::Boot() {
       }
     }
     if (!is_app_data && !bytes.empty()) {
-      code_ranges_.emplace_back(base, static_cast<uint32_t>(base) + bytes.size());
+      host_.code_ranges.emplace_back(base, static_cast<uint32_t>(base) + bytes.size());
     }
   }
   machine_->bus().PokeWord(kResetVector, firmware_->idle_addr);
   machine_->bus().PokeWord(kNmiVector, firmware_->nmi_handler);
   machine_->cpu().Reset();
-  machine_->hostio().SetSyscallHandler(
-      [this](const SyscallRequest& request) { return HandleSyscall(request); });
   booted_ = true;
   for (int i = 0; i < app_count(); ++i) {
     ASSIGN_OR_RETURN(DispatchResult r, Deliver(i, EventType::kInit));
@@ -158,24 +209,8 @@ Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletO
                   booted.firmware_->apps.size()));
   }
   RETURN_IF_ERROR(RestoreSnapshot(snapshot, machine_));
-  machine_->bus().set_fram_wait_states(options_.fram_wait_states);
-  if (options_.trace_depth > 0) {
-    trace_ = ExecutionTrace(static_cast<size_t>(options_.trace_depth));
-    machine_->cpu().set_trace(&trace_);
-  }
-  machine_->hostio().SetSyscallHandler(
-      [this](const SyscallRequest& request) { return HandleSyscall(request); });
-  region_map_ = booted.region_map_;
-  code_ranges_ = booted.code_ranges_;
-  subs_ = booted.subs_;
-  stats_ = booted.stats_;
-  enabled_ = booted.enabled_;
-  displays_ = booted.displays_;
-  faults_ = booted.faults_;
-  log_ = booted.log_;
-  now_ms_ = booted.now_ms_;
-  rng_state_ = booted.rng_state_;
-  sensors_ = booted.sensors_;
+  WireMachine();
+  host_ = booted.host_;
   current_app_ = -1;
   booted_ = true;
   return OkStatus();
@@ -190,7 +225,8 @@ Result<AmuletOs::DispatchResult> AmuletOs::Deliver(int app_index, EventType type
     return OutOfRangeError(StrFormat("no app %d", app_index));
   }
   DispatchResult result;
-  if (!enabled_[app_index]) {
+  AppState& state = host_.apps[app_index];
+  if (!state.enabled) {
     return result;
   }
   const AppImage& app = firmware_->apps[app_index];
@@ -213,116 +249,92 @@ Result<AmuletOs::DispatchResult> AmuletOs::Deliver(int app_index, EventType type
   const uint64_t syscalls_before = machine_->hostio().syscall_count();
   AMULET_PROBE_SPAN_BEGIN(tracer_, "os.dispatch", static_cast<uint32_t>(app_index),
                           static_cast<uint32_t>(type));
-  Cpu::RunOutcome outcome = machine_->Run(options_.handler_cycle_budget);
+  Cpu::RunOutcome outcome = machine_->Run(kHandlerCycleBudget);
   AMULET_PROBE_SPAN_END(tracer_, "os.dispatch");
   current_app_ = -1;
 
   result.cycles = cpu.cycle_count() - cycles_before;
   result.syscalls = machine_->hostio().syscall_count() - syscalls_before;
-  stats_[app_index].dispatches += 1;
-  stats_[app_index].cycles += result.cycles;
-  stats_[app_index].syscalls += result.syscalls;
+  state.stats.dispatches += 1;
+  state.stats.cycles += result.cycles;
+  state.stats.syscalls += result.syscalls;
 
+  FaultKind kind = FaultKind::kUnknown;
+  uint16_t code = 0;
+  uint16_t addr = 0;
   switch (outcome.result) {
     case StepResult::kStopped:
       if (outcome.stop_code == kStopHandlerDone) {
         return result;
       }
       if (outcome.stop_code == kStopSoftwareFault) {
-        result.faulted = true;
-        RETURN_IF_ERROR(HandleFault(app_index, /*from_mpu=*/false,
-                                    machine_->hostio().fault_code(),
-                                    machine_->hostio().fault_addr()));
-        return result;
+        code = machine_->hostio().fault_code();
+        addr = machine_->hostio().fault_addr();
+        kind = SoftwareFaultKind(code);
+      } else if (outcome.stop_code == kStopMpuFault) {
+        kind = FaultKind::kMpuViolation;
+        code = machine_->mpu().violation_flags();
+        addr = machine_->mpu().last_violation_addr();
+      } else {
+        return InternalError(StrFormat("unexpected stop code %u", outcome.stop_code));
       }
-      if (outcome.stop_code == kStopMpuFault) {
-        result.faulted = true;
-        Mpu& mpu = machine_->mpu();
-        RETURN_IF_ERROR(HandleFault(app_index, /*from_mpu=*/true, mpu.violation_flags(),
-                                    mpu.last_violation_addr()));
-        mpu.WriteWord(kMpuCtl1, 0x000F);  // clear violation flags
-        return result;
-      }
-      return InternalError(StrFormat("unexpected stop code %u", outcome.stop_code));
+      break;
     case StepResult::kOk:
-      // Cycle budget exhausted: runaway handler. Treat as a fault.
-      result.faulted = true;
-      RETURN_IF_ERROR(HandleFault(app_index, /*from_mpu=*/false, /*code=*/0xFFFF,
-                                  cpu.pc()));
-      return result;
-    case StepResult::kHalted: {
+      // Cycle budget exhausted: a runaway handler.
+      kind = FaultKind::kRunaway;
+      addr = cpu.pc();
+      break;
+    case StepResult::kHalted:
       // The app crashed the CPU outright (wild jump into garbage, executing
       // corrupted code, ...). Without isolation this is exactly the failure
       // the paper motivates: the whole device dies and needs a reset.
-      result.faulted = true;
-      FaultRecord record;
-      record.app_index = app_index;
-      record.code = 0xDEAD;
-      record.kind = FaultKind::kCpuCrash;
-      record.addr = cpu.halt_pc();
-      record.at_cycles = cpu.cycle_count();
-      record.description = StrFormat(
-          "app '%s': CRASHED THE CPU (halt reason %d at %s) — device reset",
-          app.name.c_str(), static_cast<int>(cpu.halt_reason()),
-          HexWord(cpu.halt_pc()).c_str());
-      CaptureForensics(&record, cpu.halt_pc());
-      faults_.push_back(record);
-      stats_[app_index].faults += 1;
-      machine_->Reset();
-      machine_->ClearStop();
-      if (options_.fault_policy == FaultPolicy::kDisableApp) {
-        enabled_[app_index] = false;
-      } else if (options_.fault_policy == FaultPolicy::kRestartApp) {
-        RETURN_IF_ERROR(RestartApp(app_index));
-      }
-      return result;
-    }
+      kind = FaultKind::kCpuCrash;
+      addr = cpu.halt_pc();
+      break;
     case StepResult::kPuc:
       // PUC escaped Machine::Run (shouldn't happen: Run handles it).
       return InternalError("unhandled PUC");
   }
-  return InternalError("unreachable");
+  result.faulted = true;
+  RETURN_IF_ERROR(RecordFault(app_index, kind, code, addr));
+  if (kind == FaultKind::kMpuViolation) {
+    machine_->mpu().WriteWord(kMpuCtl1, 0x000F);  // clear violation flags
+  }
+  return result;
 }
 
-Status AmuletOs::HandleFault(int app_index, bool from_mpu, uint16_t code, uint16_t addr) {
-  AMULET_PROBE_INSTANT(tracer_, from_mpu ? "os.fault.mpu" : "os.fault.software",
-                       static_cast<uint32_t>(code), static_cast<uint32_t>(addr));
+Status AmuletOs::RecordFault(int app_index, FaultKind kind, uint16_t code, uint16_t addr) {
+  const FaultKindDef& def = kFaultKinds[static_cast<size_t>(kind)];
+  if (def.code >= 0) {
+    code = static_cast<uint16_t>(def.code);
+  }
+  AMULET_PROBE_INSTANT(tracer_, def.instant, static_cast<uint32_t>(code),
+                       static_cast<uint32_t>(addr));
+  const Cpu& cpu = machine_->cpu();
   FaultRecord record;
   record.app_index = app_index;
-  record.from_mpu = from_mpu;
+  record.from_mpu = kind == FaultKind::kMpuViolation;
   record.code = code;
-  record.kind = ClassifyFault(from_mpu, code);
+  record.kind = kind;
   record.addr = addr;
-  record.at_cycles = machine_->cpu().cycle_count();
-  if (from_mpu) {
-    record.description =
-        StrFormat("app '%s': MPU violation (flags 0x%x) at %s",
-                  firmware_->apps[app_index].name.c_str(), code, HexWord(addr).c_str());
-  } else if (code == 1) {
-    record.description = StrFormat("app '%s': array index %u out of bounds",
-                                   firmware_->apps[app_index].name.c_str(), addr);
-  } else if (code == 2) {
-    record.description =
-        StrFormat("app '%s': pointer check failed for address %s",
-                  firmware_->apps[app_index].name.c_str(), HexWord(addr).c_str());
-  } else if (code == 3) {
-    record.description =
-        StrFormat("app '%s': corrupted return address %s",
-                  firmware_->apps[app_index].name.c_str(), HexWord(addr).c_str());
-  } else {
-    record.description = StrFormat("app '%s': runaway handler stopped at %s",
-                                   firmware_->apps[app_index].name.c_str(),
-                                   HexWord(addr).c_str());
+  record.at_cycles = cpu.cycle_count();
+  record.description = StrFormat("app '%s': ", firmware_->apps[app_index].name.c_str()) +
+                       def.describe(code, addr, cpu.halt_reason());
+  CaptureForensics(&record, kind == FaultKind::kCpuCrash ? addr : 0);
+  host_.faults.push_back(std::move(record));
+  AppState& app = host_.apps[app_index];
+  app.stats.faults += 1;
+  if (kind == FaultKind::kCpuCrash) {
+    // The halted CPU is reset before the policy runs anything on it.
+    machine_->Reset();
+    machine_->ClearStop();
   }
-  CaptureForensics(&record, /*pc_hint=*/0);
-  faults_.push_back(record);
-  stats_[app_index].faults += 1;
 
   switch (options_.fault_policy) {
     case FaultPolicy::kLogOnly:
       return OkStatus();
     case FaultPolicy::kDisableApp:
-      enabled_[app_index] = false;
+      app.enabled = false;
       return OkStatus();
     case FaultPolicy::kRestartApp:
       return RestartApp(app_index);
@@ -343,31 +355,27 @@ void AmuletOs::ReloadAppData(int app_index) {
 }
 
 Status AmuletOs::RestartApp(int app_index) {
+  AppState& app = host_.apps[app_index];
   if (in_restart_) {
     // on_init itself faulted during a restart: give up on the app rather
     // than restart-looping forever.
-    enabled_[app_index] = false;
+    app.enabled = false;
     return OkStatus();
   }
-  in_restart_ = true;
-  Status status = RestartAppInner(app_index);
-  in_restart_ = false;
-  return status;
-}
-
-Status AmuletOs::RestartAppInner(int app_index) {
   ReloadAppData(app_index);
   if (firmware_->shadow_return_stack) {
     // A fault mid-function leaves the shadow stack unbalanced; restart from
     // an empty shadow (its pointer lives at the start of InfoMem).
     machine_->bus().PokeWord(kInfoMemStart, kInfoMemStart + 2);
   }
-  subs_[app_index] = Subscriptions{};
-  displays_[app_index].clear();
-  stats_[app_index].restarts += 1;
-  ASSIGN_OR_RETURN(DispatchResult r, Deliver(app_index, EventType::kInit));
-  (void)r;
-  return OkStatus();
+  app.subscriptions.clear();
+  app.button = false;
+  app.display.clear();
+  app.stats.restarts += 1;
+  in_restart_ = true;
+  const Status status = Deliver(app_index, EventType::kInit).status();
+  in_restart_ = false;
+  return status;
 }
 
 uint16_t AmuletOs::HandleSyscall(const SyscallRequest& request) {
@@ -375,67 +383,62 @@ uint16_t AmuletOs::HandleSyscall(const SyscallRequest& request) {
   if (app < 0) {
     return 0;  // syscall outside a dispatch (standalone firmware): ignore
   }
-  Subscriptions& sub = subs_[app];
+  AppState& state = host_.apps[app];
+  const uint64_t now_ms = host_.now_ms;
+  auto subscribe = [&](EventType type, int id, uint32_t period_ms) {
+    state.subscriptions[{type, id}] = {period_ms, now_ms + period_ms};
+  };
   switch (static_cast<ApiId>(request.number)) {
     case ApiId::kNoop:
       return 1;
     case ApiId::kLogValue:
     case ApiId::kLogAppend:
-      log_.push_back({app, request.args[0], static_cast<int16_t>(request.args[1]), now_ms_});
+      host_.log.push_back({app, request.args[0], static_cast<int16_t>(request.args[1]), now_ms});
       return 0;
     case ApiId::kDisplayDigits:
-      displays_[app][static_cast<int16_t>(request.args[0])] =
-          static_cast<int16_t>(request.args[1]);
+      state.display[static_cast<int16_t>(request.args[0])] = static_cast<int16_t>(request.args[1]);
       return 0;
     case ApiId::kDisplayClear:
-      displays_[app].clear();
+      state.display.clear();
       return 0;
-    case ApiId::kTimerStart: {
-      TimerState& timer = sub.timers[static_cast<int16_t>(request.args[0])];
-      timer.active = true;
-      timer.period_ms = std::max<uint32_t>(1, request.args[1]);
-      timer.next_due_ms = now_ms_ + timer.period_ms;
+    case ApiId::kTimerStart:
+      subscribe(EventType::kTimer, static_cast<int16_t>(request.args[0]),
+                std::max<uint32_t>(1, request.args[1]));
       return 0;
-    }
     case ApiId::kTimerStop:
-      sub.timers.erase(static_cast<int16_t>(request.args[0]));
+      state.subscriptions.erase({EventType::kTimer, static_cast<int16_t>(request.args[0])});
       return 0;
-    case ApiId::kAccelSubscribe: {
-      const uint32_t rate = std::clamp<uint32_t>(request.args[0], 1, 100);
-      sub.accel = true;
-      sub.accel_period_ms = 1000 / rate;
-      sub.accel_next_ms = now_ms_ + sub.accel_period_ms;
+    case ApiId::kAccelSubscribe:
+      subscribe(EventType::kAccel, 0, 1000 / std::clamp<uint32_t>(request.args[0], 1, 100));
       return 0;
-    }
     case ApiId::kAccelUnsubscribe:
-      sub.accel = false;
+      state.subscriptions.erase({EventType::kAccel, 0});
       return 0;
     case ApiId::kHrSubscribe:
-      sub.heartrate = true;
-      sub.hr_next_ms = now_ms_ + 1000;
+      subscribe(EventType::kHeartRate, 0, 1000);
       return 0;
     case ApiId::kHrUnsubscribe:
-      sub.heartrate = false;
+      state.subscriptions.erase({EventType::kHeartRate, 0});
       return 0;
     case ApiId::kTempRead:
-      return static_cast<uint16_t>(sensors_.TempCentiC(now_ms_));
+      return static_cast<uint16_t>(host_.sensors.TempCentiC(now_ms));
     case ApiId::kBatteryRead:
-      return static_cast<uint16_t>(sensors_.BatteryPercent(now_ms_));
+      return static_cast<uint16_t>(host_.sensors.BatteryPercent(now_ms));
     case ApiId::kLightRead:
-      return static_cast<uint16_t>(sensors_.LightLux(now_ms_));
+      return static_cast<uint16_t>(host_.sensors.LightLux(now_ms));
     case ApiId::kClockHour:
-      return static_cast<uint16_t>((now_ms_ / 3600000) % 24);
+      return static_cast<uint16_t>((now_ms / 3600000) % 24);
     case ApiId::kClockMinute:
-      return static_cast<uint16_t>((now_ms_ / 60000) % 60);
+      return static_cast<uint16_t>((now_ms / 60000) % 60);
     case ApiId::kClockSecond:
-      return static_cast<uint16_t>((now_ms_ / 1000) % 60);
+      return static_cast<uint16_t>((now_ms / 1000) % 60);
     case ApiId::kHapticBuzz:
       return 0;
     case ApiId::kRand:
-      rng_state_ = rng_state_ * 1103515245u + 12345u;
-      return static_cast<uint16_t>((rng_state_ >> 16) & 0x7FFF);
+      host_.rng_state = host_.rng_state * 1103515245u + 12345u;
+      return static_cast<uint16_t>((host_.rng_state >> 16) & 0x7FFF);
     case ApiId::kButtonSubscribe:
-      sub.button = true;
+      state.button = true;
       return 0;
     case ApiId::kCount:
       break;
@@ -444,76 +447,49 @@ uint16_t AmuletOs::HandleSyscall(const SyscallRequest& request) {
 }
 
 Status AmuletOs::RunFor(uint64_t sim_ms) {
-  const uint64_t end_ms = now_ms_ + sim_ms;
+  const uint64_t end_ms = host_.now_ms + sim_ms;
   while (true) {
-    // Find the earliest pending event across all apps.
-    uint64_t best_time = end_ms + 1;
+    // The earliest due subscription of an enabled app. The strict compare
+    // keeps the first of equal times: the lowest app index, then key order.
     int best_app = -1;
-    int best_kind = -1;  // 0 timer, 1 accel, 2 hr
-    int best_timer_id = 0;
+    SubscriptionKey best_key;
+    Subscription* best = nullptr;
+    uint64_t best_ms = end_ms + 1;
     for (int i = 0; i < app_count(); ++i) {
-      if (!enabled_[i]) {
+      AppState& app = host_.apps[i];
+      if (!app.enabled) {
         continue;
       }
-      for (auto& [timer_id, timer] : subs_[i].timers) {
-        if (timer.active && timer.next_due_ms < best_time) {
-          best_time = timer.next_due_ms;
+      for (auto& [key, sub] : app.subscriptions) {
+        if (sub.next_ms < best_ms) {
+          best_ms = sub.next_ms;
           best_app = i;
-          best_kind = 0;
-          best_timer_id = timer_id;
+          best_key = key;
+          best = &sub;
         }
       }
-      if (subs_[i].accel && subs_[i].accel_next_ms < best_time) {
-        best_time = subs_[i].accel_next_ms;
-        best_app = i;
-        best_kind = 1;
-      }
-      if (subs_[i].heartrate && subs_[i].hr_next_ms < best_time) {
-        best_time = subs_[i].hr_next_ms;
-        best_app = i;
-        best_kind = 2;
-      }
     }
-    if (best_app < 0 || best_time > end_ms) {
+    if (best == nullptr) {
       break;
     }
-    now_ms_ = best_time;
-    if (best_kind == 0) {
-      TimerState& timer = subs_[best_app].timers[best_timer_id];
-      timer.next_due_ms = now_ms_ + timer.period_ms;
-      ASSIGN_OR_RETURN(DispatchResult r,
-                       Deliver(best_app, EventType::kTimer,
-                               static_cast<uint16_t>(best_timer_id)));
-      (void)r;
-    } else if (best_kind == 1) {
-      subs_[best_app].accel_next_ms = now_ms_ + subs_[best_app].accel_period_ms;
-      subs_[best_app].accel_sample_index += 1;
-      AccelSample sample = sensors_.Accel(now_ms_);
-      AMULET_PROBE_INSTANT(tracer_, "sensor.accel", static_cast<uint32_t>(best_app),
-                           static_cast<uint32_t>(now_ms_));
-      ASSIGN_OR_RETURN(DispatchResult r,
-                       Deliver(best_app, EventType::kAccel,
-                               static_cast<uint16_t>(sample.x_mg),
-                               static_cast<uint16_t>(sample.y_mg),
-                               static_cast<uint16_t>(sample.z_mg)));
-      (void)r;
-    } else {
-      subs_[best_app].hr_next_ms = now_ms_ + 1000;
-      AMULET_PROBE_INSTANT(tracer_, "sensor.heartrate", static_cast<uint32_t>(best_app),
-                           static_cast<uint32_t>(now_ms_));
-      ASSIGN_OR_RETURN(DispatchResult r,
-                       Deliver(best_app, EventType::kHeartRate,
-                               static_cast<uint16_t>(sensors_.HeartRateBpm(now_ms_))));
-      (void)r;
+    host_.now_ms = best_ms;
+    best->next_ms = best_ms + best->period_ms;
+    const auto [type, id] = best_key;
+    const EventArgs args = EventArgsFor(type, id, &host_.sensors, best_ms);
+    if (type != EventType::kTimer) {
+      AMULET_PROBE_INSTANT(tracer_, type == EventType::kAccel ? "sensor.accel" : "sensor.heartrate",
+                           static_cast<uint32_t>(best_app), static_cast<uint32_t>(best_ms));
     }
+    ASSIGN_OR_RETURN(DispatchResult r, Deliver(best_app, type, args.a0, args.a1, args.a2));
+    (void)r;
   }
-  now_ms_ = end_ms;
+  host_.now_ms = end_ms;
   return OkStatus();
 }
 
 Status AmuletOs::PressButton(int button_id) {
   for (int i = 0; i < app_count(); ++i) {
-    if (enabled_[i] && subs_[i].button) {
+    if (host_.apps[i].enabled && host_.apps[i].button) {
       ASSIGN_OR_RETURN(DispatchResult r, Deliver(i, EventType::kButton,
                                                  static_cast<uint16_t>(button_id)));
       (void)r;
@@ -537,9 +513,7 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
   for (int i = 0; i < kNumRegisters; ++i) {
     record->regs[static_cast<size_t>(i)] = cpu.reg(static_cast<Reg>(i));
   }
-  if (options_.trace_depth > 0) {
-    record->recent_pcs = trace_.Recent();
-  }
+  record->recent_pcs = trace_.Recent();
 
   // Faulting PC: by the time the fault surfaces, the live PC sits in the
   // fault stub (software checks) or past the NMI veneer (MPU), so walk the
@@ -548,12 +522,12 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
   uint16_t pc = pc_hint;
   if (pc == 0) {
     pc = cpu.pc();
-    if (region_map_ != nullptr) {
+    if (host_.region_map != nullptr) {
       uint16_t tagged = 0;
       bool have_tagged = false;
       bool have_app = false;
       for (auto it = record->recent_pcs.rbegin(); it != record->recent_pcs.rend(); ++it) {
-        const RegionTag tag = region_map_->At(*it);
+        const RegionTag tag = host_.region_map->At(*it);
         if (tag == RegionTag::kApp) {
           pc = *it;
           have_app = true;
@@ -570,7 +544,7 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
     }
   }
   record->pc = pc;
-  record->scope = region_map_ != nullptr ? region_map_->At(pc) : RegionTag::kOther;
+  record->scope = host_.region_map != nullptr ? host_.region_map->At(pc) : RegionTag::kOther;
 
   // Raw backtrace: even, nonzero stack words that point into linked code.
   const uint16_t sp = cpu.sp();
@@ -581,7 +555,7 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
     if (v == 0 || (v & 1) != 0) {
       continue;
     }
-    for (const auto& [lo, hi] : code_ranges_) {
+    for (const auto& [lo, hi] : host_.code_ranges) {
       if (v >= lo && v < hi) {
         record->call_stack.push_back(v);
         break;
@@ -598,14 +572,15 @@ std::string AmuletOs::StatusReport() const {
   std::string out;
   out += StrFormat("AmuletOS [%s] t=%llums, %d app(s)\n",
                    std::string(MemoryModelName(firmware_->model)).c_str(),
-                   static_cast<unsigned long long>(now_ms_), app_count());
+                   static_cast<unsigned long long>(host_.now_ms), app_count());
   for (int i = 0; i < app_count(); ++i) {
     const AppImage& app = firmware_->apps[i];
-    const AppStats& stat = stats_[i];
+    const AppState& state = host_.apps[i];
+    const AppStats& stat = state.stats;
     out += StrFormat(
         "  %-14s %s code=[%s,%s) data=[%s,%s) stack=%dB%s | dispatches=%llu cycles=%llu "
         "syscalls=%llu faults=%llu\n",
-        app.name.c_str(), enabled_[i] ? "on " : "OFF", HexWord(app.code_lo).c_str(),
+        app.name.c_str(), state.enabled ? "on " : "OFF", HexWord(app.code_lo).c_str(),
         HexWord(app.code_hi).c_str(), HexWord(app.data_lo).c_str(),
         HexWord(app.data_hi).c_str(), app.stack_bytes,
         app.stack_statically_bounded ? "" : " (recursion: default)",
@@ -613,9 +588,9 @@ std::string AmuletOs::StatusReport() const {
         static_cast<unsigned long long>(stat.cycles),
         static_cast<unsigned long long>(stat.syscalls),
         static_cast<unsigned long long>(stat.faults));
-    if (!displays_[i].empty()) {
+    if (!state.display.empty()) {
       out += "    display:";
-      for (const auto& [pos, value] : displays_[i]) {
+      for (const auto& [pos, value] : state.display) {
         out += StrFormat(" [%d]=%d", pos, value);
       }
       out += "\n";

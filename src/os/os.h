@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aft/aft.h"
@@ -34,27 +35,24 @@ enum class FaultPolicy : uint8_t {
 
 struct OsOptions {
   int fram_wait_states = 1;
-  // Depth of the per-fault instruction trace (0 disables tracing).
-  int trace_depth = 16;
-  uint64_t handler_cycle_budget = 20'000'000;  // runaway-handler cut-off
   FaultPolicy fault_policy = FaultPolicy::kRestartApp;
   uint32_t sensor_seed = 20180711;
 };
 
-// What kind of isolation event produced a FaultRecord. Derived from the
-// (from_mpu, code) pair; stable values — the fleet FaultLedger persists them.
+// What kind of isolation event produced a FaultRecord. Stable values — the
+// fleet FaultLedger persists them.
 enum class FaultKind : uint8_t {
-  kUnknown = 0,
+  kUnknown = 0,       // a software fault code no check stub writes
   kCheckIndex = 1,    // compiler-inserted array index check (code 1)
   kCheckMemory = 2,   // compiler-inserted address bound check (code 2)
   kCheckReturn = 3,   // return-address check / shadow stack (code 3)
-  kMpuViolation = 4,  // hardware MPU violation NMI
+  kMpuViolation = 4,  // hardware MPU violation NMI (code = violation flags)
   kRunaway = 5,       // handler cycle budget exhausted (code 0xFFFF)
   kCpuCrash = 6,      // CPU halted outright (code 0xDEAD)
+  kCount,
 };
 
 const char* FaultKindName(FaultKind kind);
-FaultKind ClassifyFault(bool from_mpu, uint16_t code);
 
 // Structured fault record (v2). Everything in it is derived from simulated
 // state, so records are bit-identical across the fast/interpreter cores and
@@ -105,6 +103,16 @@ struct LogEntry {
   uint64_t at_ms;
 };
 
+// The arguments a handler of `type` receives at simulated time `t_ms`: the
+// timer's id, or a reading from `sensors` (accelerometer x/y/z in milli-g,
+// heart rate, temperature, light, battery). Every other event gets zeros.
+struct EventArgs {
+  uint16_t a0 = 0;
+  uint16_t a1 = 0;
+  uint16_t a2 = 0;
+};
+EventArgs EventArgsFor(EventType type, int timer_id, SensorSuite* sensors, uint64_t t_ms);
+
 class AmuletOs {
  public:
   AmuletOs(Machine* machine, Firmware firmware, OsOptions options);
@@ -118,12 +126,12 @@ class AmuletOs {
 
   // Fast boot for fleet cloning: restores `snapshot` (captured from
   // `booted`'s machine after Boot() completed) into this OS's machine and
-  // copies `booted`'s host-side state (subscriptions, stats, displays, RNG
-  // and sensor state), skipping the image load and every on_init dispatch.
-  // Both instances must have been constructed from the same firmware (the
-  // fleet shares one instance; see shared_firmware()). The
-  // clone is indistinguishable from a fresh Boot() on this machine; callers
-  // that want a distinct device identity reseed sensors() afterwards.
+  // copies `booted`'s host-side state (HostState below: the per-app records,
+  // faults, log, clock, RNG and sensor state), skipping the image load and
+  // every on_init dispatch. Both instances must have been constructed from
+  // the same firmware (the fleet shares one instance; see shared_firmware()).
+  // The clone is indistinguishable from a fresh Boot() on this machine;
+  // callers that want a distinct device identity reseed sensors() afterwards.
   Status BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletOs& booted);
 
   struct DispatchResult {
@@ -136,8 +144,10 @@ class AmuletOs {
   Result<DispatchResult> Deliver(int app_index, EventType type, uint16_t a0 = 0,
                                  uint16_t a1 = 0, uint16_t a2 = 0);
 
-  // Advances simulated wall-clock time, generating timer/sensor events for
-  // subscribed apps in timestamp order.
+  // Advances simulated wall-clock time, delivering timer and sensor events
+  // to subscribed apps in timestamp order. Events due in the same
+  // millisecond go to the lower app index first; within one app, timers by
+  // id (negative ids first), then the accelerometer, then heart rate.
   Status RunFor(uint64_t sim_ms);
 
   // Injects a button press (delivered to apps subscribed via
@@ -148,15 +158,17 @@ class AmuletOs {
   const Firmware& firmware() const { return *firmware_; }
   const std::shared_ptr<const Firmware>& shared_firmware() const { return firmware_; }
   Machine& machine() { return *machine_; }
-  SensorSuite& sensors() { return sensors_; }
-  uint64_t now_ms() const { return now_ms_; }
-  const std::vector<FaultRecord>& faults() const { return faults_; }
-  const std::vector<LogEntry>& log() const { return log_; }
-  const AppStats& stats(int app_index) const { return stats_[app_index]; }
+  SensorSuite& sensors() { return host_.sensors; }
+  uint64_t now_ms() const { return host_.now_ms; }
+  const std::vector<FaultRecord>& faults() const { return host_.faults; }
+  const std::vector<LogEntry>& log() const { return host_.log; }
+  const AppStats& stats(int app_index) const { return host_.apps[app_index].stats; }
   int app_count() const { return static_cast<int>(firmware_->apps.size()); }
-  bool app_enabled(int app_index) const { return enabled_[app_index]; }
+  bool app_enabled(int app_index) const { return host_.apps[app_index].enabled; }
   // Display: per app, position -> value (what amulet_display_digits wrote).
-  const std::map<int, int16_t>& display(int app_index) const { return displays_[app_index]; }
+  const std::map<int, int16_t>& display(int app_index) const {
+    return host_.apps[app_index].display;
+  }
 
   // Renders a small status report (per-app stats + display contents).
   std::string StatusReport() const;
@@ -173,65 +185,72 @@ class AmuletOs {
   // detach.
   void AttachFlightRecorder(FlightRecorder* recorder);
 
-  // Region-attribution map for this firmware, built during Boot() and shared
-  // (not rebuilt) by BootFromSnapshot() clones. Null before boot.
-  const std::shared_ptr<const RegionMap>& region_map() const { return region_map_; }
-
  private:
+  // A periodic event an app subscribed to.
+  struct Subscription {
+    uint32_t period_ms = 0;
+    uint64_t next_ms = 0;
+  };
+  // (event, timer id); the id is 0 for the accelerometer and heart rate.
+  // Key order is the same-millisecond delivery order within one app.
+  using SubscriptionKey = std::pair<EventType, int>;
+
+  // One app's host-side state. A restart clears its subscriptions and its
+  // display; its stats and its enabled bit survive.
+  struct AppState {
+    std::map<SubscriptionKey, Subscription> subscriptions;
+    bool button = false;  // amulet_button_subscribe() was called
+    std::map<int, int16_t> display;
+    AppStats stats;
+    bool enabled = true;
+  };
+
+  // Everything a BootFromSnapshot() clone inherits from its template, copied
+  // in one assignment.
+  struct HostState {
+    std::vector<AppState> apps;
+    std::vector<FaultRecord> faults;
+    std::vector<LogEntry> log;
+    uint64_t now_ms = 0;
+    uint32_t rng_state = 0x1234;
+    SensorSuite sensors;
+    // Fault attribution, derived from the firmware in Boot(). The region map
+    // is immutable and shared by pointer. The code ranges (app code and OS
+    // text, app data/stack chunks excluded) filter the call-stack scan.
+    std::shared_ptr<const RegionMap> region_map;
+    std::vector<std::pair<uint16_t, uint32_t>> code_ranges;
+  };
+
+  // Host wiring a snapshot does not carry: FRAM wait states, the fault
+  // trace and the syscall handler.
+  void WireMachine();
   uint16_t HandleSyscall(const SyscallRequest& request);
-  Status HandleFault(int app_index, bool from_mpu, uint16_t code, uint16_t addr);
+  // The one fault path: records the fault with its forensics, emits its
+  // tracer instant, counts it and applies the fault policy. A CPU crash also
+  // resets the machine before the policy runs. `code` is the software check
+  // code or the MPU's violation flags; the other kinds carry a fixed code.
+  Status RecordFault(int app_index, FaultKind kind, uint16_t code, uint16_t addr);
   // Fills the v2 forensic fields (registers, faulting PC + scope, call
   // stack, trace tail, flight tail) from live machine state. `pc_hint` is
   // used instead of the trace walk when nonzero (CPU-crash records pin the
   // halt PC).
   void CaptureForensics(FaultRecord* record, uint16_t pc_hint);
+  // Reloads the app's globals, clears its subscriptions and display, and
+  // re-runs on_init; an app whose on_init faults during that is disabled.
   Status RestartApp(int app_index);
-  Status RestartAppInner(int app_index);
   // Reloads an app's globals from the original image (restart semantics).
   void ReloadAppData(int app_index);
-
-  struct TimerState {
-    bool active = false;
-    uint32_t period_ms = 0;
-    uint64_t next_due_ms = 0;
-  };
-  struct Subscriptions {
-    std::map<int, TimerState> timers;  // timer_id -> state
-    bool accel = false;
-    uint32_t accel_period_ms = 0;
-    uint64_t accel_next_ms = 0;
-    uint64_t accel_sample_index = 0;
-    bool heartrate = false;
-    uint64_t hr_next_ms = 0;
-    bool button = false;
-  };
 
   Machine* machine_;
   std::shared_ptr<const Firmware> firmware_;  // never null
   OsOptions options_;
-  SensorSuite sensors_;
+  HostState host_;
   EventTracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
-  // Shared across clones: built once per template firmware in Boot(),
-  // copied (by pointer) in BootFromSnapshot().
-  std::shared_ptr<const RegionMap> region_map_;
-  // Executable address ranges of the linked image (app code + OS text, app
-  // data/stack chunks excluded); the call-stack scan's plausibility filter.
-  std::vector<std::pair<uint16_t, uint32_t>> code_ranges_;
-
   int current_app_ = -1;
-  uint64_t now_ms_ = 0;
-  uint32_t rng_state_ = 0x1234;
-
-  std::vector<Subscriptions> subs_;
-  std::vector<AppStats> stats_;
-  std::vector<bool> enabled_;
-  std::vector<std::map<int, int16_t>> displays_;
-  std::vector<FaultRecord> faults_;
-  std::vector<LogEntry> log_;
   bool booted_ = false;
   bool in_restart_ = false;
-  ExecutionTrace trace_{16};
+  ExecutionTrace trace_;  // recent PCs for fault records; WireMachine() resets it
 };
 
 }  // namespace amulet

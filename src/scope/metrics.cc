@@ -206,12 +206,19 @@ Status MetricRegistry::LoadState(SnapshotReader& r) {
   for (uint32_t i = 0; r.ok() && i < counter_count; ++i) {
     std::string name = r.Str();
     const uint64_t value = r.U64();
-    counters_[std::move(name)] = value;
+    if (r.ok() && !counters_.try_emplace(name, value).second) {
+      r.Fail(InvalidArgumentError(StrFormat("metrics: counter '%s' twice", name.c_str())));
+    }
   }
   const uint32_t histogram_count = r.U32();
   for (uint32_t i = 0; r.ok() && i < histogram_count; ++i) {
     std::string name = r.Str();
-    RETURN_IF_ERROR(histograms_[std::move(name)].LoadState(r));
+    auto [it, inserted] = histograms_.try_emplace(name);
+    if (r.ok() && !inserted) {
+      r.Fail(InvalidArgumentError(StrFormat("metrics: histogram '%s' twice", name.c_str())));
+    }
+    RETURN_IF_ERROR(r.status());
+    RETURN_IF_ERROR(it->second.LoadState(r));
   }
   return r.status();
 }

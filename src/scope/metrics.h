@@ -78,10 +78,11 @@ class MetricRegistry {
 
   // Binary serialization of the complete registry (every counter and
   // histogram), via the shared snapshot writer/reader (src/common/binio.h).
-  // LoadState replaces the current contents; a corrupt stream yields a
-  // non-OK Status and an unspecified registry. The round trip is
-  // bit-exact — the fleet checkpoint format leans on this to resume a run
-  // with a digest identical to an uninterrupted one.
+  // LoadState replaces the current contents; a corrupt stream (including a
+  // counter or histogram name that appears twice, which SaveState never
+  // writes) yields a non-OK Status and an unspecified registry. The round
+  // trip is bit-exact — the fleet checkpoint format leans on this to resume
+  // a run with a digest identical to an uninterrupted one.
   void SaveState(SnapshotWriter& w) const;
   Status LoadState(SnapshotReader& r);
 

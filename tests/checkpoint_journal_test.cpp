@@ -431,5 +431,31 @@ TEST(CheckpointTest, OversizedTemplateLengthIsRejectedWithoutAllocating) {
   EXPECT_LT(best_ms, 50.0);
 }
 
+// A real checkpoint whose fault ledger names a fault kind no build writes:
+// the decoder rejects it instead of carrying the byte into digests.
+TEST(CheckpointTest, UnknownFaultKindInTheLedgerIsRejected) {
+  FleetConfig config;
+  config.device_count = 4;
+  config.apps = {"pedometer", "crasher"};
+  config.sim_ms = 200;
+  config.checkpoint_path = TestPath("fleet");
+  ASSERT_TRUE(RunFleet(config).ok());
+  std::vector<uint8_t> bytes = FileBytes(config.checkpoint_path);
+  std::remove(config.checkpoint_path.c_str());
+  ASSERT_TRUE(StartsWith(bytes, "AMFC"));
+  ASSERT_TRUE(DecodeFleetCheckpoint(bytes).ok());
+  // magic, version, kind, then sections: u8 tag | u32 length | payload.
+  size_t at = 9;
+  while (at + 5 <= bytes.size() &&
+         bytes[at] != static_cast<uint8_t>(FleetCheckpointSection::kFleetLedger)) {
+    at += 5 + U32At(bytes, at + 1);
+  }
+  ASSERT_LT(at + 9, bytes.size());
+  ASSERT_GT(U32At(bytes, at + 5), 0u) << "the crasher left no fault bucket";
+  bytes[at + 9] = 200;  // the first bucket's kind
+  PutU64(&bytes, bytes.size() - 8, Fnv1a64(bytes.data(), bytes.size() - 8));
+  EXPECT_EQ(DecodeFleetCheckpoint(bytes).status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace amulet

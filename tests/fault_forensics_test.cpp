@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/aft/aft.h"
+#include "src/common/binio.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/fault_ledger.h"
 #include "src/fleet/fleet.h"
@@ -263,6 +264,61 @@ TEST(FaultLedgerTest, CheckpointRoundTripPreservesLedger) {
   EXPECT_EQ(top[0]->call_stack, record.call_stack);
   ASSERT_EQ(top[0]->flight.size(), 1u);
   EXPECT_TRUE(top[0]->flight[0] == record.flight[0]);
+}
+
+// LoadState rejects what SaveState never writes. Each case starts from a
+// real encoding and changes one thing.
+std::vector<uint8_t> LedgerBytes(const FaultLedger& ledger) {
+  SnapshotWriter w;
+  ledger.SaveState(w);
+  return w.Take();
+}
+
+StatusCode LoadCode(const std::vector<uint8_t>& bytes) {
+  FaultLedger ledger;
+  SnapshotReader r(bytes);
+  return ledger.LoadState(r).code();
+}
+
+FaultLedger OneBucketLedger(int records) {
+  FaultLedger ledger;
+  FaultRecord record = SyntheticRecord(FaultKind::kCheckMemory, 0x8000, 0x1C00, 500);
+  record.flight.push_back({/*cycles=*/400, /*a=*/0x1C00, /*b=*/1, FlightEventKind::kStore});
+  for (int i = 0; i < records; ++i) {
+    ledger.Record(record, 2, "a");
+  }
+  return ledger;
+}
+
+TEST(FaultLedgerTest, LoadRejectsAnUnknownFaultKind) {
+  std::vector<uint8_t> bytes = LedgerBytes(OneBucketLedger(1));
+  ASSERT_EQ(LoadCode(bytes), StatusCode::kOk);
+  bytes[4] = 200;  // u32 bucket count, then the first bucket's kind
+  EXPECT_EQ(LoadCode(bytes), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultLedgerTest, LoadRejectsAnUnknownRegionTag) {
+  std::vector<uint8_t> bytes = LedgerBytes(OneBucketLedger(1));
+  bytes[5] = 99;  // the first bucket's scope
+  EXPECT_EQ(LoadCode(bytes), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultLedgerTest, LoadRejectsAnUnknownFlightEventKind) {
+  std::vector<uint8_t> bytes = LedgerBytes(OneBucketLedger(1));
+  for (uint8_t kind : {0, 7, 200}) {
+    bytes.back() = kind;  // the last flight event's kind ends the bucket
+    EXPECT_EQ(LoadCode(bytes), StatusCode::kInvalidArgument) << static_cast<int>(kind);
+  }
+}
+
+TEST(FaultLedgerTest, LoadRejectsTwoBucketsWithOneSignature) {
+  // Buckets of 5 and 7 records under one signature, back to back.
+  const std::vector<uint8_t> five = LedgerBytes(OneBucketLedger(5));
+  const std::vector<uint8_t> seven = LedgerBytes(OneBucketLedger(7));
+  std::vector<uint8_t> bytes = {2, 0, 0, 0};
+  bytes.insert(bytes.end(), five.begin() + 4, five.end());
+  bytes.insert(bytes.end(), seven.begin() + 4, seven.end());
+  EXPECT_EQ(LoadCode(bytes), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

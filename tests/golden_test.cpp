@@ -96,6 +96,20 @@ TEST(GoldenTest, CohortFleetWithCrasher) {
   EXPECT_EQ(FnvHex(FleetDigest(*report)), "5272978cf2bab9f3");
 }
 
+// The nine-app suite on every device: its timers and sensor subscriptions
+// fall due in the same millisecond often enough that the event loop's
+// delivery order (app index, then timers, accelerometer, heart rate) shows
+// in the digest. Scanning the apps in reverse changes it.
+TEST(GoldenTest, NineAppSuiteFleet) {
+  FleetConfig config = GoldenFleet();
+  config.device_count = 4;
+  config.apps.clear();
+  config.sim_ms = 3000;
+  auto report = RunFleet(config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(FnvHex(FleetDigest(*report)), "9ae56c829ba55289");
+}
+
 TEST(GoldenTest, HappyCampaign) {
   CampaignConfig config = GoldenCampaign();
   config.fleet.checkpoint_path = "golden_campaign.ckpt";

@@ -4,6 +4,7 @@
 
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
+#include "src/common/strings.h"
 #include "src/os/os.h"
 
 namespace amulet {
@@ -328,6 +329,166 @@ void on_button(int id) { amulet_log_value(2, id); }
   ASSERT_EQ(os.log().size(), 1u);
   EXPECT_EQ(os.log()[0].tag, 2);
   EXPECT_EQ(os.log()[0].value, 3);
+}
+
+// Every periodic source of two apps falls due at t = 1000 ms. Delivery
+// goes app by app in index order; within an app, timers by id (negative ids
+// first), then the accelerometer, then heart rate, whatever order the app
+// subscribed in.
+TEST(EventLoopTest, SameMillisecondDeliveryOrder) {
+  constexpr char kFirst[] = R"(
+void on_init(void) {
+  amulet_hr_subscribe();
+  amulet_accel_subscribe(1);
+  amulet_timer_start(7, 1000);
+  amulet_timer_start(-3, 1000);
+}
+void on_timer(int timer_id) { amulet_log_value(1, timer_id); }
+void on_accel(int x, int y, int z) { amulet_log_value(2, 0); }
+void on_heartrate(int bpm) { amulet_log_value(3, 0); }
+)";
+  constexpr char kSecond[] = R"(
+void on_init(void) {
+  amulet_timer_start(2, 1000);
+  amulet_accel_subscribe(1);
+  amulet_timer_start(-9, 1000);
+  amulet_hr_subscribe();
+}
+void on_timer(int timer_id) { amulet_log_value(1, timer_id); }
+void on_accel(int x, int y, int z) { amulet_log_value(2, 0); }
+void on_heartrate(int bpm) { amulet_log_value(3, 0); }
+)";
+  Firmware fw = MustBuild({{"first", kFirst}, {"second", kSecond}}, MemoryModel::kMpu);
+  Machine machine;
+  AmuletOs os(&machine, std::move(fw), OsOptions{});
+  ASSERT_TRUE(os.Boot().ok());
+  ASSERT_TRUE(os.RunFor(1000).ok());
+  struct Delivery {
+    int app;
+    uint16_t tag;
+    int16_t value;
+  };
+  const Delivery want[] = {{0, 1, -3}, {0, 1, 7}, {0, 2, 0}, {0, 3, 0},
+                           {1, 1, -9}, {1, 1, 2}, {1, 2, 0}, {1, 3, 0}};
+  ASSERT_EQ(os.log().size(), std::size(want));
+  for (size_t i = 0; i < std::size(want); ++i) {
+    const LogEntry& got = os.log()[i];
+    EXPECT_EQ(got.app_index, want[i].app) << "delivery " << i;
+    EXPECT_EQ(got.tag, want[i].tag) << "delivery " << i;
+    EXPECT_EQ(got.value, want[i].value) << "delivery " << i;
+    EXPECT_EQ(got.at_ms, 1000u) << "delivery " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One fault of each kind, pinned
+// ---------------------------------------------------------------------------
+
+// Each case provokes one fault with a button press and pins the record's
+// kind, code, address, attribution and description, and what its fault
+// policy did: fleet fault ledgers and `amuletc faults` triage are built from
+// these records.
+struct FaultPin {
+  const char* label;
+  MemoryModel model;
+  const char* handler;  // body of on_button(int id)
+  uint16_t button;
+  FaultPolicy policy;
+  FaultKind kind;
+  uint16_t code;
+  uint16_t addr;
+  uint16_t pc;
+  RegionTag scope;
+  const char* description;
+};
+
+std::string PinnedApp(const char* handler) {
+  return StrFormat(R"(
+int buf[4];
+void smash(int i) {
+  int frame[2];
+  frame[0] = 0;
+  frame[i] = 7424;  /* 0x1d00: outside the app's code */
+}
+void on_init(void) {
+  amulet_button_subscribe();
+  amulet_log_value(100, 1);
+}
+void on_button(int id) { %s }
+)",
+                   handler);
+}
+
+TEST(FaultKindPinTest, EachKindRecordsItsPinnedFault) {
+  const FaultPin pins[] = {
+      {"index", MemoryModel::kFeatureLimited, "buf[id] = 1;", 9, FaultPolicy::kLogOnly,
+       FaultKind::kCheckIndex, 1, 9, 0x4718, RegionTag::kApp,
+       "app 'pin': array index 9 out of bounds"},
+      {"memory", MemoryModel::kSoftwareOnly, "int* p = (int*)7168; *p = 1;", 0,
+       FaultPolicy::kRestartApp, FaultKind::kCheckMemory, 2, 0x1c00, 0x4768, RegionTag::kApp,
+       "app 'pin': pointer check failed for address 0x1c00"},
+      {"return", MemoryModel::kSoftwareOnly, "smash(id);", 4, FaultPolicy::kDisableApp,
+       FaultKind::kCheckReturn, 3, 0x1d00, 0x46f4, RegionTag::kApp,
+       "app 'pin': corrupted return address 0x1d00"},
+      {"mpu", MemoryModel::kMpu, "int* p = (int*)61440; *p = 1;", 0, FaultPolicy::kRestartApp,
+       FaultKind::kMpuViolation, 0x4, 0xf000, 0x47f4, RegionTag::kApp,
+       "app 'pin': MPU violation (flags 0x4) at 0xf000"},
+      {"runaway", MemoryModel::kMpu, "while (id == 0) { buf[1] = buf[1] + 1; }", 0,
+       FaultPolicy::kLogOnly, FaultKind::kRunaway, 0xFFFF, 0x47f0, 0x47ec, RegionTag::kApp,
+       "app 'pin': runaway handler stopped at 0x47f0"},
+      {"crash", MemoryModel::kNoIsolation, "void (*fn)(void) = (void (*)(void))7424; fn();", 0,
+       FaultPolicy::kRestartApp, FaultKind::kCpuCrash, 0xDEAD, 0x1d00, 0x1d00, RegionTag::kOther,
+       "app 'pin': CRASHED THE CPU (halt reason 3 at 0x1d00) — device reset"},
+  };
+  for (const FaultPin& pin : pins) {
+    SCOPED_TRACE(pin.label);
+    // The pcs depend on the code layout, so the check optimizer is set
+    // explicitly rather than left to the AMULET_CHECK_OPT build default.
+    AftOptions aft;
+    aft.model = pin.model;
+    aft.optimize_checks = true;
+    auto fw = BuildFirmware({{"pin", PinnedApp(pin.handler)}}, aft);
+    ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+    Machine machine;
+    OsOptions options;
+    options.fault_policy = pin.policy;
+    AmuletOs os(&machine, std::move(*fw), options);
+    ASSERT_TRUE(os.Boot().ok());
+    auto result = os.Deliver(0, EventType::kButton, pin.button);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->faulted);
+    ASSERT_EQ(os.faults().size(), 1u);
+    const FaultRecord& fault = os.faults()[0];
+    EXPECT_EQ(fault.kind, pin.kind);
+    EXPECT_EQ(fault.from_mpu, pin.kind == FaultKind::kMpuViolation);
+    EXPECT_EQ(fault.code, pin.code);
+    EXPECT_EQ(fault.addr, pin.addr);
+    EXPECT_EQ(fault.pc, pin.pc);
+    EXPECT_EQ(fault.scope, pin.scope);
+    EXPECT_EQ(fault.description, pin.description);
+    EXPECT_EQ(os.stats(0).faults, 1u);
+    int inits = 0;
+    for (const LogEntry& entry : os.log()) {
+      inits += entry.tag == 100 ? 1 : 0;
+    }
+    switch (pin.policy) {
+      case FaultPolicy::kLogOnly:
+        EXPECT_TRUE(os.app_enabled(0));
+        EXPECT_EQ(os.stats(0).restarts, 0u);
+        EXPECT_EQ(inits, 1);
+        break;
+      case FaultPolicy::kDisableApp:
+        EXPECT_FALSE(os.app_enabled(0));
+        EXPECT_EQ(os.stats(0).restarts, 0u);
+        EXPECT_EQ(inits, 1);
+        break;
+      case FaultPolicy::kRestartApp:
+        EXPECT_TRUE(os.app_enabled(0));
+        EXPECT_EQ(os.stats(0).restarts, 1u);
+        EXPECT_EQ(inits, 2) << "on_init re-ran";
+        break;
+    }
+  }
 }
 
 TEST(BenchmarkAppsTest, SyntheticRunsUnderAllModels) {

@@ -215,6 +215,58 @@ TEST(TracerTest, ShortAppRunRendersValidNestedChromeTrace) {
   EXPECT_NE(json.find("\"name\":\"syscall\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"mpu.reconfig\""), std::string::npos);
 }
+
+// Every fault the OS records emits one instant: software checks and MPU
+// violations, and also a CPU crash, with the record's code and address.
+TEST(TracerTest, EveryRecordedFaultEmitsAnInstant) {
+  constexpr char kWild[] = R"(
+void on_init(void) { amulet_button_subscribe(); }
+void on_button(int id) {
+  if (id == 0) { int* p = (int*)7168; *p = 1; }
+  if (id == 1) { int* p = (int*)61440; *p = 1; }
+  if (id == 2) { void (*fn)(void) = (void (*)(void))7424; fn(); }
+}
+)";
+  struct Case {
+    MemoryModel model;
+    uint16_t button;
+    const char* instant;
+    uint32_t code;
+    uint32_t addr;
+  };
+  const Case cases[] = {
+      {MemoryModel::kMpu, 0, "os.fault.software", 2, 0x1C00},
+      {MemoryModel::kMpu, 1, "os.fault.mpu", 4, 0xF000},
+      {MemoryModel::kNoIsolation, 2, "os.fault.crash", 0xDEAD, 0x1D00},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.instant);
+    AftOptions options;
+    options.model = c.model;
+    auto fw = BuildFirmware({{"wild", kWild}}, options);
+    ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+    EventTracer tracer;
+    Machine machine;
+    AmuletOs os(&machine, std::move(*fw), OsOptions{});
+    os.AttachTracer(&tracer);
+    ASSERT_TRUE(os.Boot().ok());
+    auto r = os.Deliver(0, EventType::kButton, c.button);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->faulted);
+    int instants = 0;
+    for (const TraceEvent& event : tracer.Events()) {
+      if (event.phase != 'i' || std::string(event.name).rfind("os.fault.", 0) != 0) {
+        continue;
+      }
+      ++instants;
+      EXPECT_STREQ(event.name, c.instant);
+      ASSERT_EQ(event.arg_count, 2);
+      EXPECT_EQ(event.args[0], c.code);
+      EXPECT_EQ(event.args[1], c.addr);
+    }
+    EXPECT_EQ(instants, 1);
+  }
+}
 #endif  // AMULET_SCOPE_ENABLED
 
 TEST(TracerTest, RingWrapStillRendersWellFormedTrace) {
@@ -450,6 +502,37 @@ TEST(MetricsTest, LoadRejectsTruncatedState) {
   SnapshotReader reader(bytes);
   MetricRegistry restored;
   EXPECT_FALSE(restored.LoadState(reader).ok());
+}
+
+// A name SaveState writes once per registry must not load twice.
+TEST(MetricsTest, LoadRejectsARepeatedCounter) {
+  SnapshotWriter w;
+  w.U32(2);
+  w.Str("fleet.devices");
+  w.U64(5);
+  w.Str("fleet.devices");
+  w.U64(7);
+  w.U32(0);
+  const std::vector<uint8_t> bytes = w.Take();
+  SnapshotReader reader(bytes);
+  MetricRegistry restored;
+  EXPECT_EQ(restored.LoadState(reader).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MetricsTest, LoadRejectsARepeatedHistogram) {
+  LogHistogram h;
+  h.Record(900);
+  SnapshotWriter w;
+  w.U32(0);
+  w.U32(2);
+  w.Str("device.cycles");
+  h.SaveState(w);
+  w.Str("device.cycles");
+  h.SaveState(w);
+  const std::vector<uint8_t> bytes = w.Take();
+  SnapshotReader reader(bytes);
+  MetricRegistry restored;
+  EXPECT_EQ(restored.LoadState(reader).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
