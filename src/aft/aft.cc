@@ -11,6 +11,7 @@
 #include "src/mcu/hostio.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/mpu.h"
+#include "src/scope/region_map.h"
 
 namespace amulet {
 
@@ -29,6 +30,9 @@ uint16_t AppSam(const AftOptions& options) {
 uint16_t OsSam(const AftOptions& options) {
   return options.shadow_return_stack ? static_cast<uint16_t>(kOsSam | 0x3000) : kOsSam;
 }
+
+// Bytes added to every statically bounded stack estimate.
+constexpr int kStackMarginBytes = 64;
 
 // 32-bit on purpose: the layout cursor must be able to exceed 0xFFFF so the
 // FRAM-overflow check can see it (a 16-bit cursor would silently wrap).
@@ -82,95 +86,109 @@ std::string HostIoEqus() {
 std::string MpuReconfig(const std::string& segb1_sym, const std::string& segb2_sym,
                         uint16_t sam, const std::string& scope_id) {
   std::string out;
-  out += StrFormat("__scope_b_mpur_%s:\n", scope_id.c_str());
+  out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kMpuReconfig, scope_id) + ":\n";
   out += "  mov #0xA501, &__MPUCTL0\n";
   out += StrFormat("  mov #%s, &__MPUSEGB1\n", segb1_sym.c_str());
   out += StrFormat("  mov #%s, &__MPUSEGB2\n", segb2_sym.c_str());
   out += StrFormat("  mov #%d, &__MPUSAM\n", sam);
-  out += StrFormat("__scope_e_mpur_%s:\n", scope_id.c_str());
+  out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kMpuReconfig, scope_id) + ":\n";
   return out;
 }
+
+// The context switch one app's syscall gates and dispatch veneer share,
+// decided once from the model: whether the MPU is reprogrammed between the
+// OS's and the app's view, and whether the app runs on its own stack.
+struct AppSwitch {
+  AppSwitch(const std::string& app_name, const AftOptions& aft)
+      : app(app_name),
+        options(aft),
+        reconfig_mpu(aft.model == MemoryModel::kMpu && !aft.future_mpu),
+        per_app_stacks(aft.model == MemoryModel::kMpu ||
+                       aft.model == MemoryModel::kSoftwareOnly) {}
+
+  // The MPU switch into the OS's (or the app's) view; empty when the model
+  // does not reprogram the MPU.
+  std::string ToOsView(const std::string& scope_id) const {
+    return reconfig_mpu
+               ? MpuReconfig("__mpuv_os_segb1", "__mpuv_os_segb2", OsSam(options), scope_id)
+               : "";
+  }
+  std::string ToAppView(const std::string& scope_id) const {
+    return reconfig_mpu ? MpuReconfig(StrFormat("__mpuv_%s_segb1", app.c_str()),
+                                      StrFormat("__mpuv_%s_segb2", app.c_str()),
+                                      AppSam(options), scope_id)
+                        : "";
+  }
+
+  const std::string& app;
+  const AftOptions& options;
+  const bool reconfig_mpu;
+  const bool per_app_stacks;
+};
 
 // Per-app, per-API syscall gate. Runs as simulated code: the stack switch,
 // MPU reconfiguration, and HOSTIO marshalling all cost cycles, which is what
 // Table 1's "Context Switch" row measures.
-std::string GateAsm(const std::string& app, const ApiEntry& api, MemoryModel model,
-                    const AftOptions& options) {
+std::string GateAsm(const AppSwitch& sw, const ApiEntry& api) {
+  const char* app = sw.app.c_str();
+  const std::string scope_id = StrFormat("%s_%s", app, api.name);
   std::string out;
-  out += StrFormat("__scope_b_gate_%s_%s:\n", app.c_str(), api.name);
-  out += StrFormat("__gate_%s_%s:\n", app.c_str(), api.name);
+  out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kGate, scope_id) + ":\n";
+  out += StrFormat("__gate_%s_%s:\n", app, api.name);
   out += StrFormat("  mov #%d, &__HIO_SYSCALL\n", static_cast<int>(api.id));
   out += "  mov r12, &__HIO_ARG0\n";
   out += "  mov r13, &__HIO_ARG1\n";
   out += "  mov r14, &__HIO_ARG2\n";
   out += "  mov r15, &__HIO_ARG3\n";
-  const bool per_app_stacks =
-      model == MemoryModel::kMpu || model == MemoryModel::kSoftwareOnly;
-  if (model == MemoryModel::kMpu && !options.future_mpu) {
-    // Must happen before touching OS data: under the app's MPU view, the OS
-    // data region is execute-only.
-    out += MpuReconfig("__mpuv_os_segb1", "__mpuv_os_segb2", OsSam(options),
-                       StrFormat("g0_%s_%s", app.c_str(), api.name));
-  }
-  if (per_app_stacks) {
-    out += StrFormat("  mov sp, &__os_saved_sp_%s\n", app.c_str());
+  // Must happen before touching OS data: under the app's MPU view, the OS
+  // data region is execute-only.
+  out += sw.ToOsView("g0_" + scope_id);
+  if (sw.per_app_stacks) {
+    out += StrFormat("  mov sp, &__os_saved_sp_%s\n", app);
     out += StrFormat("  mov #%d, sp\n", kOsStackTop);
   }
   out += "  mov #1, &__HIO_TRIGGER\n";
-  if (per_app_stacks) {
-    out += StrFormat("  mov &__os_saved_sp_%s, sp\n", app.c_str());
+  if (sw.per_app_stacks) {
+    out += StrFormat("  mov &__os_saved_sp_%s, sp\n", app);
   }
-  if (model == MemoryModel::kMpu && !options.future_mpu) {
-    out += MpuReconfig(StrFormat("__mpuv_%s_segb1", app.c_str()),
-                       StrFormat("__mpuv_%s_segb2", app.c_str()), AppSam(options),
-                       StrFormat("g1_%s_%s", app.c_str(), api.name));
-  }
+  out += sw.ToAppView("g1_" + scope_id);
   out += "  mov &__HIO_RESULT, r12\n";
   out += "  ret\n";
-  out += StrFormat("__scope_e_gate_%s_%s:\n", app.c_str(), api.name);
+  out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kGate, scope_id) + ":\n";
   return out;
 }
 
 // Event-dispatch veneer: the host points PC here with r11 = handler entry
 // and r12..r14 = event arguments.
-std::string DispatchAsm(const std::string& app, MemoryModel model,
-                        const AftOptions& options) {
+std::string DispatchAsm(const AppSwitch& sw) {
+  const char* app = sw.app.c_str();
   std::string out;
-  out += StrFormat("__scope_b_disp_%s:\n", app.c_str());
-  out += StrFormat("__dispatch_%s:\n", app.c_str());
-  const bool per_app_stacks =
-      model == MemoryModel::kMpu || model == MemoryModel::kSoftwareOnly;
-  if (model == MemoryModel::kMpu && !options.future_mpu) {
-    out += MpuReconfig(StrFormat("__mpuv_%s_segb1", app.c_str()),
-                       StrFormat("__mpuv_%s_segb2", app.c_str()), AppSam(options),
-                       StrFormat("d0_%s", app.c_str()));
-  }
-  if (per_app_stacks) {
-    out += StrFormat("  mov #__stacktop_%s, sp\n", app.c_str());
+  out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kDispatch, sw.app) + ":\n";
+  out += StrFormat("__dispatch_%s:\n", app);
+  out += sw.ToAppView(StrFormat("d0_%s", app));
+  if (sw.per_app_stacks) {
+    out += StrFormat("  mov #__stacktop_%s, sp\n", app);
   } else {
-    if (options.zero_shared_stack) {
+    if (sw.options.zero_shared_stack) {
       // The design the paper rejected: scrub the shared stack on every app
       // switch so the next app cannot read stack tailings.
       out += StrFormat("  mov #%d, r10\n", kSramStart);
-      out += StrFormat("__zs_%s:\n", app.c_str());
+      out += StrFormat("__zs_%s:\n", app);
       out += "  clr 0(r10)\n";
       out += "  incd r10\n";
       out += StrFormat("  cmp #%d, r10\n", kOsStackTop);
-      out += StrFormat("  jlo __zs_%s\n", app.c_str());
+      out += StrFormat("  jlo __zs_%s\n", app);
     }
     out += StrFormat("  mov #%d, sp\n", kOsStackTop);
   }
   // Enter through the app-region thunk so the handler's (compiler-checked)
   // return address lies inside the app's own code bounds.
-  out += StrFormat("  call #__thunk_%s\n", app.c_str());
-  if (model == MemoryModel::kMpu && !options.future_mpu) {
-    out += MpuReconfig("__mpuv_os_segb1", "__mpuv_os_segb2", OsSam(options),
-                       StrFormat("d1_%s", app.c_str()));
-  }
+  out += StrFormat("  call #__thunk_%s\n", app);
+  out += sw.ToOsView(StrFormat("d1_%s", app));
   out += StrFormat("  mov #%d, &__HIO_STOP\n", kStopHandlerDone);
-  out += StrFormat("__dispatch_%s_spin:\n", app.c_str());
-  out += StrFormat("  jmp __dispatch_%s_spin\n", app.c_str());
-  out += StrFormat("__scope_e_disp_%s:\n", app.c_str());
+  out += StrFormat("__dispatch_%s_spin:\n", app);
+  out += StrFormat("  jmp __dispatch_%s_spin\n", app);
+  out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kDispatch, sw.app) + ":\n";
   return out;
 }
 
@@ -226,16 +244,16 @@ int EstimateStackBytes(const std::string& app, const FeatureAudit& audit,
     (void)bytes;
     worst = std::max(worst, depth(fn));
   }
-  return worst + kRuntimeStackBytes + options.stack_margin_bytes;
+  return worst + kRuntimeStackBytes + kStackMarginBytes;
 }
 
+std::string ThunkSection(const std::string& app) { return "." + app + ".thunk"; }
+
 struct CompiledApp {
-  using ThunkObject = ObjectFile;
   std::string name;
   FeatureAudit audit;
   CheckStats checks;
   ObjectFile object;
-  ObjectFile thunk_object;
   std::map<std::string, int> fn_stack_bytes;
 };
 
@@ -318,14 +336,13 @@ Result<CompiledApp> CompileApp(const AppSource& app, const AftOptions& options,
     trace->assembly = code.assembly;
   }
   out.fn_stack_bytes = std::move(code.stack_bytes);
-  // Per-app entry thunk, placed in the app's own code region: the event
-  // handler's checked return address then satisfies `addr >= C_i`, while the
-  // thunk's generated (uncheckable) ret legitimately returns to the OS
-  // dispatch veneer.
-  std::string thunk = StrFormat(".section %s\n__thunk_%s:\n  call r11\n  ret\n",
-                                cg.text_section.c_str(), app.name.c_str());
-  ASSIGN_OR_RETURN(CompiledApp::ThunkObject thunk_obj, Assemble(thunk, app.name + "_thunk.s"));
-  out.thunk_object = std::move(thunk_obj);
+  // Per-app entry thunk, linked right after the app's text inside its code
+  // region: the event handler's checked return address then satisfies
+  // `addr >= C_i`, while the thunk's generated (uncheckable) ret
+  // legitimately returns to the OS dispatch veneer. It has a section of its
+  // own so the image keeps it as a chunk of its own.
+  code.assembly += StrFormat(".section %s\n__thunk_%s:\n  call r11\n  ret\n",
+                             ThunkSection(app.name).c_str(), app.name.c_str());
   ASSIGN_OR_RETURN(out.object, Assemble(code.assembly, app.name + ".s"));
   return out;
 }
@@ -358,10 +375,11 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
   os_text += ".section .os.text\n";
   os_text += OsCoreAsm();
   for (const CompiledApp& app : compiled) {
-    os_text += DispatchAsm(app.name, options.model, options);
+    const AppSwitch sw(app.name, options);
+    os_text += DispatchAsm(sw);
     for (const ApiEntry& api : ApiTable()) {
       if (app.audit.called_apis.count(api.name) != 0) {
-        os_text += GateAsm(app.name, api, options.model, options);
+        os_text += GateAsm(sw, api);
       }
     }
   }
@@ -389,7 +407,6 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
   }
   for (CompiledApp& app : compiled) {
     linker.AddObject(std::move(app.object));
-    linker.AddObject(std::move(app.thunk_object));
   }
 
   // Phase 4: layout. OS code low, OS data next, then per-app
@@ -421,7 +438,8 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
     const uint32_t code_lo = cursor;
     const std::string text_section = "." + app.name + ".text";
     const std::string data_section = "." + app.name + ".data";
-    cursor = Align16(cursor + linker.SectionSize(text_section));
+    const uint32_t thunk = code_lo + linker.SectionSize(text_section);
+    cursor = Align16(thunk + linker.SectionSize(ThunkSection(app.name)));
     const uint32_t code_hi = cursor;
 
     const uint32_t data_lo = code_hi;
@@ -443,6 +461,7 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
     image.stack_top = static_cast<uint16_t>(stack_top);
     image.data_hi = static_cast<uint16_t>(data_hi);
     layout.push_back({text_section, image.code_lo});
+    layout.push_back({ThunkSection(app.name), static_cast<uint16_t>(thunk)});
     layout.push_back({data_section, image.stack_top});
 
     image.mpu_segb1 = static_cast<uint16_t>(image.data_lo >> 4);

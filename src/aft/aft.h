@@ -44,7 +44,6 @@ struct AftOptions {
   // Generous because the uniform code generator spills every temporary:
   // frames run 100-200 bytes, so even log-depth recursion needs room.
   int recursion_stack_bytes = 2048;
-  int stack_margin_bytes = 64;
   // Ablation of the paper's Section-5 vision: a hypothetical MPU with 4+
   // segments covering all of memory. No compiler checks are inserted and the
   // gates skip MPU reprogramming (isolation would be free in hardware); the

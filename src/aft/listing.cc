@@ -6,6 +6,7 @@
 #include "src/isa/disassembler.h"
 #include "src/isa/encoding.h"
 #include "src/mcu/memory_map.h"
+#include "src/scope/region_map.h"
 
 namespace amulet {
 
@@ -27,7 +28,7 @@ uint16_t ImageWord(const Image& image, uint16_t addr) {
 std::multimap<uint16_t, std::string> SymbolsByAddress(const Image& image) {
   std::multimap<uint16_t, std::string> by_addr;
   for (const auto& [name, addr] : image.symbols) {
-    if (StartsWith(name, "__scope_")) {
+    if (IsScopeLabel(name)) {
       // Zero-size profiler region markers (src/scope): they share addresses
       // with real symbols and would clutter every listing.
       continue;

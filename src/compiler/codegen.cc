@@ -1,16 +1,62 @@
 #include "src/compiler/codegen.h"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "src/common/strings.h"
 #include "src/mcu/hostio.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/multiplier.h"
+#include "src/scope/region_map.h"
 
 namespace amulet {
 
 namespace {
+
+// How each binary operator is emitted: inline on r12 (r12:r13 for 4-byte
+// operands, the high word taking the carry-propagating form), or as a call
+// to a shared runtime routine, one per operand width. Rows in IrBin order.
+struct BinLowering {
+  IrBin bin;
+  const char* op;       // low-word instruction; nullptr: call a routine
+  const char* op_high;  // high-word instruction of a 4-byte operation
+  const char* routine;       // 2-byte operands: r12 op r13 -> r12
+  const char* routine_pair;  // 4-byte operands: r12:r13 op r14:r15 -> r12:r13
+};
+
+constexpr BinLowering kBinLowerings[] = {
+    {IrBin::kAdd, "add", "addc", nullptr, nullptr},
+    {IrBin::kSub, "sub", "subc", nullptr, nullptr},
+    {IrBin::kAnd, "and", "and", nullptr, nullptr},
+    {IrBin::kOr, "bis", "bis", nullptr, nullptr},
+    {IrBin::kXor, "xor", "xor", nullptr, nullptr},
+    {IrBin::kShl, nullptr, nullptr, "__rt_shl", "__rt_shl32"},
+    {IrBin::kShr, nullptr, nullptr, "__rt_shr", "__rt_shr32"},
+    {IrBin::kSar, nullptr, nullptr, "__rt_sar", "__rt_sar32"},
+    {IrBin::kMul, nullptr, nullptr, "__rt_mul", "__rt_mul32"},
+    {IrBin::kDivS, nullptr, nullptr, "__rt_divs", "__rt_divs32"},
+    {IrBin::kDivU, nullptr, nullptr, "__rt_divu", "__rt_divu32"},
+    {IrBin::kModS, nullptr, nullptr, "__rt_mods", "__rt_mods32"},
+    {IrBin::kModU, nullptr, nullptr, "__rt_modu", "__rt_modu32"},
+};
+
+constexpr bool BinRowsInEnumOrder() {
+  for (size_t i = 0; i < std::size(kBinLowerings); ++i) {
+    if (static_cast<size_t>(kBinLowerings[i].bin) != i) {
+      return false;
+    }
+  }
+  return static_cast<size_t>(IrBin::kModU) + 1 == std::size(kBinLowerings);
+}
+static_assert(BinRowsInEnumOrder(), "kBinLowerings needs one row per IrBin, in enum order");
+
+// A load/store's memory operand, one operand per word, and the register the
+// value travels in.
+struct MemOperand {
+  std::string word[2];
+  int value_reg = 12;
+};
 
 class FunctionCodegen {
  public:
@@ -44,74 +90,79 @@ class FunctionCodegen {
   // The scope profiler (src/scope/region_map.h) parses them back out of the
   // image's symbol table to attribute cycles; they assemble to no bytes, so
   // the generated code is bit-identical whether or not anyone is profiling.
-  std::string ScopeBegin(const char* tag) {
+  std::string ScopeBegin(RegionTag tag) {
     std::string id = StrFormat("%s_S%d", fn_.name.c_str(), scope_id_++);
-    Label(StrFormat("__scope_b_%s_%s", tag, id.c_str()));
+    Label(ScopeLabel(ScopeEdge::kBegin, tag, id));
     return id;
   }
-  void ScopeEnd(const char* tag, const std::string& id) {
-    Label(StrFormat("__scope_e_%s_%s", tag, id.c_str()));
+  void ScopeEnd(RegionTag tag, const std::string& id) {
+    Label(ScopeLabel(ScopeEdge::kEnd, tag, id));
   }
 
   // Frame slot addressing: "-6(r4)".
   std::string Slot(int offset) const { return StrFormat("%d(r4)", offset); }
-  int VregOffset(int vr) const { return vreg_offsets_[vr]; }
-  std::string Vreg(int vr) const { return Slot(VregOffset(vr)); }
-  // High word of a 4-byte vreg.
-  std::string VregHi(int vr) const { return Slot(VregOffset(vr) + 2); }
   int VregWidth(int vr) const { return fn_.vreg_width[vr]; }
+  int Words(int vr) const { return VregWidth(vr) / 2; }
+  // Word `half` of vr's frame slot (1: the high word of a 4-byte vreg).
+  std::string Word(int vr, int half = 0) const {
+    return Slot(vreg_offsets_[vr] + 2 * half);
+  }
   int LocalOffset(int slot) const { return local_offsets_[slot]; }
 
-  // Value forwarding: r12/r13 each remember which vreg's value they hold.
-  // Valid only along straight-line code; InvalidateRegs() at control merges
-  // and after calls.
-  int* HoldsSlot(const char* reg) {
-    if (reg[1] == '1' && reg[2] == '2' && reg[3] == '\0') {
-      return &holds_r12_;
-    }
-    if (reg[1] == '1' && reg[2] == '3' && reg[3] == '\0') {
-      return &holds_r13_;
-    }
-    return nullptr;
-  }
-  void InvalidateRegs() {
-    holds_r12_ = -1;
-    holds_r13_ = -1;
-  }
-  // 32-bit values travel in the r12(lo):r13(hi) pair; the forwarding map
-  // only understands 16-bit values, so pair traffic just invalidates it.
-  void Load32(int vr) {
-    Line(StrFormat("mov %s, r12", Vreg(vr).c_str()));
-    Line(StrFormat("mov %s, r13", VregHi(vr).c_str()));
-    InvalidateRegs();
-  }
-  void Store32(int vr) {
-    Line(StrFormat("mov r12, %s", Vreg(vr).c_str()));
-    Line(StrFormat("mov r13, %s", VregHi(vr).c_str()));
-    InvalidateRegs();
-  }
-  void LoadVreg(int vr, const char* reg) {
-    int* holds = forward_values_ ? HoldsSlot(reg) : nullptr;
-    if (holds != nullptr && *holds == vr) {
-      return;  // the register already carries this vreg's value
-    }
-    Line(StrFormat("mov %s, %s", Vreg(vr).c_str(), reg));
-    if (holds != nullptr) {
-      *holds = vr;
+  // Value movement. Every vreg lives in its frame slot and travels through
+  // r12, or the r12(lo):r13(hi) pair when it is 4 bytes wide. Load and Store
+  // are the movers, and with LoadWord they own the forwarding cache: which
+  // 16-bit vreg r12 and r13 hold, so a reload can be skipped. The cache is
+  // valid along straight-line code only; Run() forgets it at every label,
+  // jump, branch and call, and EmitCall after the call.
+  int* Holds(int reg) { return reg == 12 || reg == 13 ? &holds_[reg - 12] : nullptr; }
+  // `reg` now holds word 0 of a 16-bit `vr`, or an untracked word of a
+  // 4-byte one.
+  void Track(int reg, int vr) {
+    if (int* holds = Holds(reg)) {
+      *holds = VregWidth(vr) == 2 ? vr : -1;
     }
   }
-  void StoreVreg(const char* reg, int vr) {
-    Line(StrFormat("mov %s, %s", reg, Vreg(vr).c_str()));
-    // Any other register caching this vreg is now stale.
-    int* holds = HoldsSlot(reg);
-    if (&holds_r12_ != holds && holds_r12_ == vr) {
-      holds_r12_ = -1;
+  // vr's slot was rewritten: a register still caching its old value is stale.
+  void Forget(int vr) {
+    for (int& holds : holds_) {
+      if (holds == vr) {
+        holds = -1;
+      }
     }
-    if (&holds_r13_ != holds && holds_r13_ == vr) {
-      holds_r13_ = -1;
+  }
+  void ForgetAll() { holds_[0] = holds_[1] = -1; }
+  // Moves word `half` of vr into `reg`; skipped when forwarding knows the
+  // register already holds vr.
+  void LoadWord(int vr, int half, int reg) {
+    const int* holds = Holds(reg);
+    if (forward_values_ && holds != nullptr && *holds == vr) {
+      return;
     }
-    if (holds != nullptr) {
-      *holds = vr;
+    Line(StrFormat("mov %s, r%d", Word(vr, half).c_str(), reg));
+    Track(reg, vr);
+  }
+  // Loads vr into `reg`, or into reg:reg+1 when vr is 4 bytes wide.
+  void Load(int vr, int reg = 12) {
+    for (int half = 0; half < Words(vr); ++half) {
+      LoadWord(vr, half, reg + half);
+    }
+  }
+  // Stores r12 (r12:r13) into vr's slot.
+  void Store(int vr) {
+    Forget(vr);
+    for (int half = 0; half < Words(vr); ++half) {
+      Line(StrFormat("mov r%d, %s", 12 + half, Word(vr, half).c_str()));
+      Track(12 + half, vr);
+    }
+  }
+  // Stages address vreg `vr` in r11 unless the previous check or access left
+  // it there. Run() forgets the staged address at the same boundaries as the
+  // forwarding cache.
+  void StageAddress(int vr) {
+    if (last_check_vr_ != vr) {
+      Load(vr, 11);
+      last_check_vr_ = vr;
     }
   }
 
@@ -153,12 +204,16 @@ class FunctionCodegen {
 
   void EmitCompare(const IrInst& cmp, IrRel rel, const std::string& target);
   void EmitCompare32(const IrInst& cmp, IrRel rel, const std::string& target);
+  Status EmitCall(const std::string& target, const std::vector<int>& args, int dst);
+  MemOperand StageMemory(const IrInst& inst, bool load);
   Status EmitInst(size_t index, bool* consumed_next);
   void EmitEpilogue();
 
   const IrFunction& fn_;
   std::string gate_prefix_;  // "__gate_<app>_": per-app syscall gates
   bool shadow_ret_stack_ = false;
+  bool forward_values_ = true;
+  bool use_hw_multiplier_ = false;
   std::string* out_;
   std::vector<int> local_offsets_;
   std::vector<int> vreg_offsets_;
@@ -166,10 +221,7 @@ class FunctionCodegen {
   int temp_label_ = 0;
   int scope_id_ = 0;
   int last_check_vr_ = -1;  // address vreg currently staged in r11
-  bool forward_values_ = true;
-  bool use_hw_multiplier_ = false;
-  int holds_r12_ = -1;
-  int holds_r13_ = -1;
+  int holds_[2] = {-1, -1};  // vreg cached in r12, r13 (-1: none)
   std::string epilogue_label_;
 };
 
@@ -184,8 +236,8 @@ void FunctionCodegen::EmitCompare(const IrInst& cmp, IrRel rel, const std::strin
   if (spec.swap) {
     std::swap(lhs, rhs);
   }
-  LoadVreg(lhs, "r12");
-  Line(StrFormat("cmp %s, r12", Vreg(rhs).c_str()));
+  Load(lhs);
+  Line(StrFormat("cmp %s, r12", Word(rhs).c_str()));
   Line(StrFormat("%s %s", spec.insn, target.c_str()));
 }
 
@@ -215,12 +267,11 @@ void FunctionCodegen::EmitCompare32(const IrInst& cmp, IrRel rel, const std::str
   }
   std::string high_differs = UniqueLabel();
   std::string done = UniqueLabel();
-  InvalidateRegs();
-  Line(StrFormat("mov %s, r13", VregHi(lhs).c_str()));
-  Line(StrFormat("cmp %s, r13", VregHi(rhs).c_str()));
+  LoadWord(lhs, 1, 13);
+  Line(StrFormat("cmp %s, r13", Word(rhs, 1).c_str()));
   Line(StrFormat("jne %s", high_differs.c_str()));
-  Line(StrFormat("mov %s, r12", Vreg(lhs).c_str()));
-  Line(StrFormat("cmp %s, r12", Vreg(rhs).c_str()));
+  LoadWord(lhs, 0, 12);
+  Line(StrFormat("cmp %s, r12", Word(rhs).c_str()));
   Line(StrFormat("%s %s", low_jump, target.c_str()));
   Line(StrFormat("jmp %s", done.c_str()));
   Label(high_differs);
@@ -230,6 +281,66 @@ void FunctionCodegen::EmitCompare32(const IrInst& cmp, IrRel rel, const std::str
   Label(done);
 }
 
+// Calls `target` ("#symbol" or "r11") with `args` in r12..r15, a 4-byte
+// argument taking two registers, and stores the r12 (r12:r13) result into
+// `dst` unless it is -1. The callee clobbers r12-r15, so the forwarding
+// cache starts over after the call.
+Status FunctionCodegen::EmitCall(const std::string& target, const std::vector<int>& args,
+                                 int dst) {
+  int reg = 12;
+  for (int arg : args) {
+    if (reg + Words(arg) > 16) {
+      return InternalError("call arguments exceed 4 register words in codegen");
+    }
+    Load(arg, reg);
+    reg += Words(arg);
+  }
+  Line("call " + target);
+  ForgetAll();
+  if (dst >= 0) {
+    Store(dst);
+  }
+  return OkStatus();
+}
+
+// Resolves a load/store's memory operand, staging a computed address: a
+// 4-byte access goes through r11 (kept across the checks of the same
+// address), a narrower one through r12, which moves a stored value to r13.
+// A load reads the first word with the shorter indirect form (@Rn); a store
+// needs the indexed one (0(Rn)).
+MemOperand FunctionCodegen::StageMemory(const IrInst& inst, bool load) {
+  MemOperand mem;
+  switch (inst.op) {
+    case IrOp::kLoadLocal:
+    case IrOp::kStoreLocal: {
+      const int off = LocalOffset(inst.a) + inst.imm;
+      mem.word[0] = Slot(off);
+      mem.word[1] = Slot(off + 2);
+      break;
+    }
+    case IrOp::kLoadGlobal:
+    case IrOp::kStoreGlobal: {
+      const char* symbol = inst.symbol.c_str();
+      mem.word[0] = inst.imm != 0 ? StrFormat("&%s + %d", symbol, inst.imm)
+                                  : StrFormat("&%s", symbol);
+      mem.word[1] = StrFormat("&%s + %d", symbol, inst.imm + 2);
+      break;
+    }
+    default:  // kLoad / kStore: the address is vreg a
+      if (inst.width == 4) {
+        StageAddress(inst.a);
+        mem.word[0] = load ? "@r11" : "0(r11)";
+        mem.word[1] = "2(r11)";
+      } else {
+        Load(inst.a);
+        mem.word[0] = load ? "@r12" : "0(r12)";
+        mem.value_reg = load ? 12 : 13;
+      }
+      break;
+  }
+  return mem;
+}
+
 Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
   const IrInst& inst = fn_.insts[index];
   *consumed_next = false;
@@ -237,161 +348,71 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
     case IrOp::kConst:
       if (inst.width == 4) {
         Line(StrFormat("mov #%d, %s", static_cast<int16_t>(inst.imm & 0xFFFF),
-                       Vreg(inst.dst).c_str()));
+                       Word(inst.dst).c_str()));
         Line(StrFormat("mov #%d, %s",
                        static_cast<int16_t>((static_cast<uint32_t>(inst.imm) >> 16) & 0xFFFF),
-                       VregHi(inst.dst).c_str()));
+                       Word(inst.dst, 1).c_str()));
       } else {
-        Line(StrFormat("mov #%d, %s", inst.imm, Vreg(inst.dst).c_str()));
+        Line(StrFormat("mov #%d, %s", inst.imm, Word(inst.dst).c_str()));
       }
-      if (holds_r12_ == inst.dst) {
-        holds_r12_ = -1;
-      }
-      if (holds_r13_ == inst.dst) {
-        holds_r13_ = -1;
-      }
+      Forget(inst.dst);
       return OkStatus();
 
     case IrOp::kCopy:
-      if (inst.width == 4) {
-        Load32(inst.a);
-        Store32(inst.dst);
-        return OkStatus();
-      }
-      LoadVreg(inst.a, "r12");
-      StoreVreg("r12", inst.dst);
+      Load(inst.a);
+      Store(inst.dst);
       return OkStatus();
 
     case IrOp::kBin: {
-      switch (inst.bin) {
-        case IrBin::kAdd:
-        case IrBin::kSub:
-        case IrBin::kAnd:
-        case IrBin::kOr:
-        case IrBin::kXor: {
-          const char* op = "add";
-          const char* op_hi = "addc";
-          if (inst.bin == IrBin::kSub) {
-            op = "sub";
-            op_hi = "subc";
-          } else if (inst.bin == IrBin::kAnd) {
-            op = "and";
-            op_hi = "and";
-          } else if (inst.bin == IrBin::kOr) {
-            op = "bis";
-            op_hi = "bis";
-          } else if (inst.bin == IrBin::kXor) {
-            op = "xor";
-            op_hi = "xor";
-          }
-          if (inst.width == 4) {
-            Load32(inst.a);
-            Line(StrFormat("%s %s, r12", op, Vreg(inst.b).c_str()));
-            Line(StrFormat("%s %s, r13", op_hi, VregHi(inst.b).c_str()));
-            Store32(inst.dst);
-            return OkStatus();
-          }
-          LoadVreg(inst.a, "r12");
-          holds_r12_ = -1;
-          Line(StrFormat("%s %s, r12", op, Vreg(inst.b).c_str()));
-          StoreVreg("r12", inst.dst);
-          return OkStatus();
-        }
-        case IrBin::kMul:
-          if (use_hw_multiplier_ && inst.width == 2) {
-            // Low 16 bits of a 16x16 product are sign-agnostic: the unsigned
-            // MPY path serves signed multiplies too.
-            Line(StrFormat("mov %s, &%d", Vreg(inst.a).c_str(), kMpyRegBase + kMpyOp1Unsigned));
-            Line(StrFormat("mov %s, &%d", Vreg(inst.b).c_str(), kMpyRegBase + kMpyOp2));
-            holds_r12_ = -1;
-            Line(StrFormat("mov &%d, r12", kMpyRegBase + kMpyResLo));
-            StoreVreg("r12", inst.dst);
-            return OkStatus();
-          }
-          [[fallthrough]];
-        case IrBin::kDivS:
-        case IrBin::kDivU:
-        case IrBin::kModS:
-        case IrBin::kModU:
-        case IrBin::kShl:
-        case IrBin::kShr:
-        case IrBin::kSar: {
-          if (inst.width == 4) {
-            const char* routine = "__rt_mul32";
-            switch (inst.bin) {
-              case IrBin::kMul: routine = "__rt_mul32"; break;
-              case IrBin::kDivS: routine = "__rt_divs32"; break;
-              case IrBin::kDivU: routine = "__rt_divu32"; break;
-              case IrBin::kModS: routine = "__rt_mods32"; break;
-              case IrBin::kModU: routine = "__rt_modu32"; break;
-              case IrBin::kShl: routine = "__rt_shl32"; break;
-              case IrBin::kShr: routine = "__rt_shr32"; break;
-              case IrBin::kSar: routine = "__rt_sar32"; break;
-              default: break;
-            }
-            Load32(inst.a);
-            Line(StrFormat("mov %s, r14", Vreg(inst.b).c_str()));
-            Line(StrFormat("mov %s, r15", VregHi(inst.b).c_str()));
-            Line(StrFormat("call #%s", routine));
-            InvalidateRegs();
-            Store32(inst.dst);
-            return OkStatus();
-          }
-          const char* routine = "__rt_mul";
-          switch (inst.bin) {
-            case IrBin::kMul: routine = "__rt_mul"; break;
-            case IrBin::kDivS: routine = "__rt_divs"; break;
-            case IrBin::kDivU: routine = "__rt_divu"; break;
-            case IrBin::kModS: routine = "__rt_mods"; break;
-            case IrBin::kModU: routine = "__rt_modu"; break;
-            case IrBin::kShl: routine = "__rt_shl"; break;
-            case IrBin::kShr: routine = "__rt_shr"; break;
-            case IrBin::kSar: routine = "__rt_sar"; break;
-            default: break;
-          }
-          LoadVreg(inst.a, "r12");
-          LoadVreg(inst.b, "r13");
-          Line(StrFormat("call #%s", routine));
-          InvalidateRegs();
-          StoreVreg("r12", inst.dst);
-          return OkStatus();
-        }
+      if (inst.bin == IrBin::kMul && use_hw_multiplier_ && inst.width == 2) {
+        // Low 16 bits of a 16x16 product are sign-agnostic: the unsigned
+        // MPY path serves signed multiplies too.
+        Line(StrFormat("mov %s, &%d", Word(inst.a).c_str(), kMpyRegBase + kMpyOp1Unsigned));
+        Line(StrFormat("mov %s, &%d", Word(inst.b).c_str(), kMpyRegBase + kMpyOp2));
+        Line(StrFormat("mov &%d, r12", kMpyRegBase + kMpyResLo));
+        Store(inst.dst);
+        return OkStatus();
       }
-      return InternalError("unhandled IR binary op");
+      if (static_cast<size_t>(inst.bin) >= std::size(kBinLowerings)) {
+        return InternalError("unhandled IR binary op");
+      }
+      const BinLowering& lowering = kBinLowerings[static_cast<size_t>(inst.bin)];
+      if (lowering.op == nullptr) {
+        return EmitCall(std::string("#") +
+                            (inst.width == 4 ? lowering.routine_pair : lowering.routine),
+                        {inst.a, inst.b}, inst.dst);
+      }
+      Load(inst.a);
+      for (int half = 0; half < Words(inst.a); ++half) {
+        Line(StrFormat("%s %s, r%d", half == 0 ? lowering.op : lowering.op_high,
+                       Word(inst.b, half).c_str(), 12 + half));
+      }
+      Store(inst.dst);
+      return OkStatus();
     }
 
     case IrOp::kShiftImm: {
-      if (inst.width == 4) {
-        Load32(inst.a);
-        for (int i = 0; i < inst.imm; ++i) {
-          if (inst.bin == IrBin::kShl) {
-            Line("rla r12");
-            Line("rlc r13");
-          } else if (inst.bin == IrBin::kSar) {
-            Line("rra r13");
-            Line("rrc r12");
-          } else {
-            Line("clrc");
-            Line("rrc r13");
-            Line("rrc r12");
-          }
-        }
-        Store32(inst.dst);
-        return OkStatus();
-      }
-      LoadVreg(inst.a, "r12");
-      holds_r12_ = -1;
+      Load(inst.a);
+      const int top = Words(inst.a) - 1;  // the register holding the sign word
       for (int i = 0; i < inst.imm; ++i) {
         if (inst.bin == IrBin::kShl) {
-          Line("rla r12");
-        } else if (inst.bin == IrBin::kSar) {
-          Line("rra r12");
-        } else {
+          // Low word first: the carry moves up.
+          for (int half = 0; half <= top; ++half) {
+            Line(StrFormat("%s r%d", half == 0 ? "rla" : "rlc", 12 + half));
+          }
+          continue;
+        }
+        // High word first: the carry moves down. kShr shifts a 0 in, kSar
+        // the sign bit.
+        if (inst.bin != IrBin::kSar) {
           Line("clrc");
-          Line("rrc r12");
+        }
+        for (int half = top; half >= 0; --half) {
+          Line(StrFormat("%s r%d", half == top && inst.bin == IrBin::kSar ? "rra" : "rrc",
+                         12 + half));
         }
       }
-      StoreVreg("r12", inst.dst);
+      Store(inst.dst);
       return OkStatus();
     }
 
@@ -417,8 +438,7 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
         Label(take32);
         Line("mov #1, r12");
         Label(end32);
-        InvalidateRegs();
-        StoreVreg("r12", inst.dst);
+        Store(inst.dst);
         return OkStatus();
       }
       std::string take = UniqueLabel();
@@ -428,233 +448,92 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
       if (spec.swap) {
         std::swap(lhs, rhs);
       }
-      LoadVreg(lhs, "r12");
-      holds_r12_ = -1;
-      Line(StrFormat("cmp %s, r12", Vreg(rhs).c_str()));
+      Load(lhs);
+      Line(StrFormat("cmp %s, r12", Word(rhs).c_str()));
       Line("mov #1, r12");
       Line(StrFormat("%s %s", spec.insn, take.c_str()));
       Line("mov #0, r12");
       Label(take);
-      StoreVreg("r12", inst.dst);
+      Store(inst.dst);
       return OkStatus();
     }
 
     case IrOp::kNeg:
-      if (inst.width == 4) {
-        Load32(inst.a);
-        Line("inv r12");
-        Line("inv r13");
-        Line("inc r12");
-        Line("adc r13");
-        Store32(inst.dst);
-        return OkStatus();
-      }
-      LoadVreg(inst.a, "r12");
-      holds_r12_ = -1;
-      Line("inv r12");
-      Line("inc r12");
-      StoreVreg("r12", inst.dst);
-      return OkStatus();
-
     case IrOp::kNot:
-      if (inst.width == 4) {
-        Load32(inst.a);
-        Line("inv r12");
-        Line("inv r13");
-        Store32(inst.dst);
-        return OkStatus();
+      Load(inst.a);
+      for (int half = 0; half < Words(inst.a); ++half) {
+        Line(StrFormat("inv r%d", 12 + half));
       }
-      LoadVreg(inst.a, "r12");
-      holds_r12_ = -1;
-      Line("inv r12");
-      StoreVreg("r12", inst.dst);
+      if (inst.op == IrOp::kNeg) {
+        // Two's complement: add one, carrying into the high word.
+        for (int half = 0; half < Words(inst.a); ++half) {
+          Line(StrFormat("%s r%d", half == 0 ? "inc" : "adc", 12 + half));
+        }
+      }
+      Store(inst.dst);
       return OkStatus();
 
-    case IrOp::kLoadLocal: {
-      int off = LocalOffset(inst.a) + inst.imm;
-      holds_r12_ = -1;
-      if (inst.width == 4) {
-        Line(StrFormat("mov %s, r12", Slot(off).c_str()));
-        Line(StrFormat("mov %s, r13", Slot(off + 2).c_str()));
-        Store32(inst.dst);
-        return OkStatus();
+    case IrOp::kLoadLocal:
+    case IrOp::kLoadGlobal:
+    case IrOp::kLoad: {
+      const MemOperand mem = StageMemory(inst, /*load=*/true);
+      for (int half = 0; half < (inst.width + 1) / 2; ++half) {
+        Line(StrFormat("mov%s %s, r%d", inst.width == 1 ? ".b" : "", mem.word[half].c_str(),
+                       12 + half));
       }
-      if (inst.width == 1) {
-        Line(StrFormat("mov.b %s, r12", Slot(off).c_str()));
-        if (inst.signed_load) {
-          Line("sxt r12");
-        }
-      } else {
-        Line(StrFormat("mov %s, r12", Slot(off).c_str()));
+      if (inst.width == 1 && inst.signed_load) {
+        Line("sxt r12");
       }
-      StoreVreg("r12", inst.dst);
+      Store(inst.dst);
       return OkStatus();
     }
 
-    case IrOp::kStoreLocal: {
-      int off = LocalOffset(inst.a) + inst.imm;
-      if (inst.width == 4) {
-        Load32(inst.b);
-        Line(StrFormat("mov r12, %s", Slot(off).c_str()));
-        Line(StrFormat("mov r13, %s", Slot(off + 2).c_str()));
-        return OkStatus();
+    case IrOp::kStoreLocal:
+    case IrOp::kStoreGlobal:
+    case IrOp::kStore: {
+      const MemOperand mem = StageMemory(inst, /*load=*/false);
+      Load(inst.b, mem.value_reg);
+      for (int half = 0; half < (inst.width + 1) / 2; ++half) {
+        Line(StrFormat("mov%s r%d, %s", inst.width == 1 ? ".b" : "", mem.value_reg + half,
+                       mem.word[half].c_str()));
       }
-      LoadVreg(inst.b, "r12");
-      Line(StrFormat("mov%s r12, %s", inst.width == 1 ? ".b" : "", Slot(off).c_str()));
       return OkStatus();
     }
-
-    case IrOp::kLoadGlobal: {
-      std::string addr = inst.imm != 0 ? StrFormat("&%s + %d", inst.symbol.c_str(), inst.imm)
-                                       : StrFormat("&%s", inst.symbol.c_str());
-      holds_r12_ = -1;
-      if (inst.width == 4) {
-        Line(StrFormat("mov %s, r12", addr.c_str()));
-        Line(StrFormat("mov &%s + %d, r13", inst.symbol.c_str(), inst.imm + 2));
-        Store32(inst.dst);
-        return OkStatus();
-      }
-      if (inst.width == 1) {
-        Line(StrFormat("mov.b %s, r12", addr.c_str()));
-        if (inst.signed_load) {
-          Line("sxt r12");
-        }
-      } else {
-        Line(StrFormat("mov %s, r12", addr.c_str()));
-      }
-      StoreVreg("r12", inst.dst);
-      return OkStatus();
-    }
-
-    case IrOp::kStoreGlobal: {
-      std::string addr = inst.imm != 0 ? StrFormat("&%s + %d", inst.symbol.c_str(), inst.imm)
-                                       : StrFormat("&%s", inst.symbol.c_str());
-      if (inst.width == 4) {
-        Load32(inst.b);
-        Line(StrFormat("mov r12, %s", addr.c_str()));
-        Line(StrFormat("mov r13, &%s + %d", inst.symbol.c_str(), inst.imm + 2));
-        return OkStatus();
-      }
-      LoadVreg(inst.b, "r12");
-      Line(StrFormat("mov%s r12, %s", inst.width == 1 ? ".b" : "", addr.c_str()));
-      return OkStatus();
-    }
-
-    case IrOp::kLoad:
-      if (inst.width == 4) {
-        if (last_check_vr_ != inst.a) {
-          LoadVreg(inst.a, "r11");
-          last_check_vr_ = inst.a;
-        }
-        Line("mov @r11, r12");
-        Line("mov 2(r11), r13");
-        Store32(inst.dst);
-        return OkStatus();
-      }
-      LoadVreg(inst.a, "r12");
-      holds_r12_ = -1;
-      if (inst.width == 1) {
-        Line("mov.b @r12, r12");
-        if (inst.signed_load) {
-          Line("sxt r12");
-        }
-      } else {
-        Line("mov @r12, r12");
-      }
-      StoreVreg("r12", inst.dst);
-      return OkStatus();
-
-    case IrOp::kStore:
-      if (inst.width == 4) {
-        if (last_check_vr_ != inst.a) {
-          LoadVreg(inst.a, "r11");
-          last_check_vr_ = inst.a;
-        }
-        Load32(inst.b);
-        Line("mov r12, 0(r11)");
-        Line("mov r13, 2(r11)");
-        return OkStatus();
-      }
-      LoadVreg(inst.a, "r12");
-      LoadVreg(inst.b, "r13");
-      Line(StrFormat("mov%s r13, 0(r12)", inst.width == 1 ? ".b" : ""));
-      return OkStatus();
 
     case IrOp::kAddrLocal: {
       int off = LocalOffset(inst.a) + inst.imm;
-      holds_r12_ = -1;
       Line("mov r4, r12");
       if (off != 0) {
         Line(StrFormat("add #%d, r12", off));
       }
-      StoreVreg("r12", inst.dst);
+      Store(inst.dst);
       return OkStatus();
     }
 
     case IrOp::kAddrGlobal: {
       if (inst.imm != 0) {
         Line(StrFormat("mov #%s + %d, %s", inst.symbol.c_str(), inst.imm,
-                       Vreg(inst.dst).c_str()));
+                       Word(inst.dst).c_str()));
       } else {
-        Line(StrFormat("mov #%s, %s", inst.symbol.c_str(), Vreg(inst.dst).c_str()));
+        Line(StrFormat("mov #%s, %s", inst.symbol.c_str(), Word(inst.dst).c_str()));
       }
-      if (holds_r12_ == inst.dst) {
-        holds_r12_ = -1;
-      }
-      if (holds_r13_ == inst.dst) {
-        holds_r13_ = -1;
-      }
+      Forget(inst.dst);
       return OkStatus();
     }
 
     case IrOp::kCall:
+      return EmitCall("#" + inst.symbol, inst.args, inst.dst);
+
     case IrOp::kCallApi:
-    case IrOp::kCallInd: {
-      static const char* kArgRegs[4] = {"r12", "r13", "r14", "r15"};
-      if (inst.op == IrOp::kCallInd) {
-        LoadVreg(inst.a, "r11");
-      }
-      int reg_cursor = 0;
-      for (size_t i = 0; i < inst.args.size(); ++i) {
-        const int words = VregWidth(inst.args[i]) / 2;
-        if (reg_cursor + words > 4) {
-          return InternalError("call arguments exceed 4 register words in codegen");
-        }
-        if (words == 2) {
-          Line(StrFormat("mov %s, %s", Vreg(inst.args[i]).c_str(), kArgRegs[reg_cursor]));
-          Line(StrFormat("mov %s, %s", VregHi(inst.args[i]).c_str(),
-                         kArgRegs[reg_cursor + 1]));
-          InvalidateRegs();  // raw pair load may have clobbered tracked regs
-        } else {
-          LoadVreg(inst.args[i], kArgRegs[reg_cursor]);
-        }
-        reg_cursor += words;
-      }
-      if (inst.op == IrOp::kCall) {
-        Line(StrFormat("call #%s", inst.symbol.c_str()));
-      } else if (inst.op == IrOp::kCallApi) {
-        Line(StrFormat("call #%s%s", gate_prefix_.c_str(), inst.symbol.c_str()));
-      } else {
-        Line("call r11");
-      }
-      InvalidateRegs();
-      if (inst.dst >= 0) {
-        if (VregWidth(inst.dst) == 4) {
-          Store32(inst.dst);
-        } else {
-          StoreVreg("r12", inst.dst);
-        }
-      }
-      return OkStatus();
-    }
+      return EmitCall("#" + gate_prefix_ + inst.symbol, inst.args, inst.dst);
+
+    case IrOp::kCallInd:
+      Load(inst.a, 11);
+      return EmitCall("r11", inst.args, inst.dst);
 
     case IrOp::kRet:
       if (inst.a >= 0) {
-        if (inst.width == 4) {
-          Load32(inst.a);
-        } else {
-          LoadVreg(inst.a, "r12");
-        }
+        Load(inst.a);
       }
       // Fall to the shared epilogue (last kRet elides the jump).
       if (index + 1 < fn_.insts.size()) {
@@ -667,27 +546,14 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
       return OkStatus();
 
     case IrOp::kBranchZero:
-      if (VregWidth(inst.a) == 4) {
-        Load32(inst.a);
-        Line("bis r13, r12");
-        Line("tst r12");
-      } else {
-        LoadVreg(inst.a, "r12");
-        Line("tst r12");
-      }
-      Line(StrFormat("jz %s", LocalLabel(inst.imm).c_str()));
-      return OkStatus();
-
     case IrOp::kBranchNonZero:
-      if (VregWidth(inst.a) == 4) {
-        Load32(inst.a);
-        Line("bis r13, r12");
-        Line("tst r12");
-      } else {
-        LoadVreg(inst.a, "r12");
-        Line("tst r12");
+      Load(inst.a);
+      for (int half = 1; half < Words(inst.a); ++half) {
+        Line(StrFormat("bis r%d, r12", 12 + half));
       }
-      Line(StrFormat("jnz %s", LocalLabel(inst.imm).c_str()));
+      Line("tst r12");
+      Line(StrFormat("%s %s", inst.op == IrOp::kBranchZero ? "jz" : "jnz",
+                     LocalLabel(inst.imm).c_str()));
       return OkStatus();
 
     case IrOp::kLabel:
@@ -699,7 +565,7 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
           "kCheckMarker reached codegen: run AFT phase 2 (InsertChecks) first");
 
     case IrOp::kWiden: {
-      LoadVreg(inst.a, "r12");
+      Load(inst.a);
       if (inst.signed_load) {
         // Branch-free sign extension: C = sign bit, then r13 = C ? 0xFFFF : 0
         // inverted (see the subc identity).
@@ -710,56 +576,40 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
       } else {
         Line("clr r13");
       }
-      Store32(inst.dst);
+      Store(inst.dst);
       return OkStatus();
     }
 
     case IrOp::kNarrow:
-      holds_r12_ = -1;
-      Line(StrFormat("mov %s, r12", Vreg(inst.a).c_str()));
-      StoreVreg("r12", inst.dst);
+      LoadWord(inst.a, 0, 12);  // the low word is the 16-bit value
+      Store(inst.dst);
       return OkStatus();
 
-    case IrOp::kCheckLow: {
-      // Keep r11 loaded across consecutive checks of the same address.
-      std::string ok = UniqueLabel();
-      std::string scope = ScopeBegin("cklo");
-      if (last_check_vr_ != inst.a) {
-        LoadVreg(inst.a, "r11");
-        last_check_vr_ = inst.a;
-      }
-      Line(StrFormat("cmp #%s, r11", inst.symbol.c_str()));
-      Line(StrFormat("jhs %s", ok.c_str()));
-      Line("call #__rt_fault_mem");
-      Label(ok);
-      ScopeEnd("cklo", scope);
-      return OkStatus();
-    }
-
+    case IrOp::kCheckLow:
     case IrOp::kCheckHigh: {
+      // Keep r11 loaded across consecutive checks of the same address.
+      const bool low = inst.op == IrOp::kCheckLow;
+      const RegionTag tag = low ? RegionTag::kCheckLow : RegionTag::kCheckHigh;
       std::string ok = UniqueLabel();
-      std::string scope = ScopeBegin("ckhi");
-      if (last_check_vr_ != inst.a) {
-        LoadVreg(inst.a, "r11");
-        last_check_vr_ = inst.a;
-      }
+      std::string scope = ScopeBegin(tag);
+      StageAddress(inst.a);
       Line(StrFormat("cmp #%s, r11", inst.symbol.c_str()));
-      Line(StrFormat("jlo %s", ok.c_str()));
+      Line(StrFormat("%s %s", low ? "jhs" : "jlo", ok.c_str()));
       Line("call #__rt_fault_mem");
       Label(ok);
-      ScopeEnd("ckhi", scope);
+      ScopeEnd(tag, scope);
       return OkStatus();
     }
 
     case IrOp::kCheckIndex: {
       // The feature-limited model's routine-call bounds check (mirrors the
       // original AmuletC implementation, which is why Table 1 shows it as
-      // the slowest per-access scheme).
-      std::string scope = ScopeBegin("ckix");
-      LoadVreg(inst.a, "r14");
+      // the slowest per-access scheme). The routine leaves r12/r13 alone.
+      std::string scope = ScopeBegin(RegionTag::kCheckIndex);
+      Load(inst.a, 14);
       Line(StrFormat("mov #%d, r15", inst.imm));
       Line("call #__rt_check_index");
-      ScopeEnd("ckix", scope);
+      ScopeEnd(RegionTag::kCheckIndex, scope);
       return OkStatus();
     }
   }
@@ -774,7 +624,7 @@ void FunctionCodegen::EmitEpilogue() {
     // Pop the shadow copy and verify it matches the architectural return
     // address; any corruption (overflow, targeted overwrite) faults.
     std::string ok = UniqueLabel();
-    std::string scope = ScopeBegin("ckret");
+    std::string scope = ScopeBegin(RegionTag::kCheckRet);
     Line("mov &__shadow_sp, r11");
     Line("decd r11");
     Line("mov r11, &__shadow_sp");
@@ -783,11 +633,11 @@ void FunctionCodegen::EmitEpilogue() {
     Line(StrFormat("jeq %s", ok.c_str()));
     Line("call #__rt_fault_ret");
     Label(ok);
-    ScopeEnd("ckret", scope);
+    ScopeEnd(RegionTag::kCheckRet, scope);
   }
   if (fn_.ret_check != RetCheckKind::kNone) {
     std::string ok1 = UniqueLabel();
-    std::string scope = ScopeBegin("ckret");
+    std::string scope = ScopeBegin(RegionTag::kCheckRet);
     Line("mov @sp, r11");
     Line(StrFormat("cmp #%s, r11", fn_.ret_check_low_sym.c_str()));
     Line(StrFormat("jhs %s", ok1.c_str()));
@@ -800,7 +650,7 @@ void FunctionCodegen::EmitEpilogue() {
       Line("call #__rt_fault_ret");
       Label(ok2);
     }
-    ScopeEnd("ckret", scope);
+    ScopeEnd(RegionTag::kCheckRet, scope);
   }
   Line("ret");
 }
@@ -829,19 +679,18 @@ Result<int> FunctionCodegen::Run() {
   Line("mov sp, r4");
   if (shadow_ret_stack_) {
     // Mirror the return address (now at FP+2) onto the InfoMem shadow stack.
-    std::string scope = ScopeBegin("ckret");
+    std::string scope = ScopeBegin(RegionTag::kCheckRet);
     Line("mov &__shadow_sp, r11");
     Line("mov 2(r4), 0(r11)");
     Line("incd r11");
     Line("mov r11, &__shadow_sp");
-    ScopeEnd("ckret", scope);
+    ScopeEnd(RegionTag::kCheckRet, scope);
   }
   if (frame_size_ > 0) {
     Line(StrFormat("sub #%d, sp", frame_size_));
   }
-  // Park incoming register arguments in their parameter slots; a long
-  // parameter arrives in two consecutive registers (lo then hi).
-  static const char* kArgRegs[4] = {"r12", "r13", "r14", "r15"};
+  // Park incoming register arguments (r12..r15) in their parameter slots; a
+  // long parameter arrives in two consecutive registers (lo then hi).
   std::vector<std::pair<int, size_t>> params;  // (param_index, slot)
   for (size_t i = 0; i < fn_.locals.size(); ++i) {
     if (fn_.locals[i].is_param && fn_.locals[i].param_index >= 0) {
@@ -856,23 +705,22 @@ Result<int> FunctionCodegen::Run() {
     if (park_cursor + words > 4) {
       break;  // lowering rejects this; defensive only
     }
-    Line(StrFormat("mov %s, %s", kArgRegs[park_cursor],
-                   Slot(local_offsets_[slot_index]).c_str()));
-    if (words == 2) {
-      Line(StrFormat("mov %s, %s", kArgRegs[park_cursor + 1],
-                     Slot(local_offsets_[slot_index] + 2).c_str()));
+    for (int half = 0; half < words; ++half) {
+      Line(StrFormat("mov r%d, %s", 12 + park_cursor + half,
+                     Slot(local_offsets_[slot_index] + 2 * half).c_str()));
     }
     park_cursor += words;
   }
 
   for (size_t i = 0; i < fn_.insts.size(); ++i) {
-    // Any label / branch boundary invalidates the checked-address cache.
+    // Any label / branch / call boundary forgets the staged check address
+    // and the forwarding cache.
     const IrOp op = fn_.insts[i].op;
     if (op == IrOp::kLabel || op == IrOp::kJump || op == IrOp::kBranchZero ||
         op == IrOp::kBranchNonZero || op == IrOp::kCall || op == IrOp::kCallApi ||
         op == IrOp::kCallInd) {
       last_check_vr_ = -1;
-      InvalidateRegs();
+      ForgetAll();
     }
     bool consumed_next = false;
     RETURN_IF_ERROR(EmitInst(i, &consumed_next));
@@ -944,8 +792,9 @@ std::string RuntimeAssembly() {
 ; The __scope_* labels assemble to zero bytes; they let the cycle profiler
 ; attribute runtime-helper cycles to "runtime" (and the feature-limited bounds
 ; routine to "check-index") instead of lumping them in with OS code.
-__scope_b_rt_rtlib:
-; 16x16 -> 16 unsigned/two's-complement multiply: r12 * r13 -> r12.
+)";
+  out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kRuntime, "rtlib") + ":\n";
+  out += R"(; 16x16 -> 16 unsigned/two's-complement multiply: r12 * r13 -> r12.
 __rt_mul:
   mov r12, r11
   clr r12
@@ -1088,8 +937,9 @@ __rt_sar_done:
 
 ; Feature-limited array bounds check: index r14, limit r15.
 ; Faults (never returns) when index >= limit (unsigned covers index < 0).
-__scope_b_ckix_rtcheckindex:
-__rt_check_index:
+)";
+  out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kCheckIndex, "rtcheckindex") + ":\n";
+  out += R"(__rt_check_index:
   cmp r15, r14
   jlo __rt_ci_ok
   mov #1, &__HOSTIO_FAULTCODE
@@ -1099,8 +949,9 @@ __rt_ci_spin:
   jmp __rt_ci_spin
 __rt_ci_ok:
   ret
-__scope_e_ckix_rtcheckindex:
-
+)";
+  out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kCheckIndex, "rtcheckindex") + ":\n";
+  out += R"(
 ; Software-check failures. r11 holds the offending address.
 __rt_fault_mem:
   mov #2, &__HOSTIO_FAULTCODE
@@ -1280,8 +1131,8 @@ __rt_sar32_loop:
   jnz __rt_sar32_loop
 __rt_sar32_done:
   ret
-__scope_e_rt_rtlib:
 )";
+  out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kRuntime, "rtlib") + ":\n";
   return out;
 }
 

@@ -193,15 +193,28 @@ class JsonParser {
             out->push_back('\r');
             break;
           case 'b':
+            out->push_back('\b');
+            break;
           case 'f':
-            out->push_back(' ');
+            out->push_back('\f');
             break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Error("truncated \\u escape");
+            uint32_t code = 0;
+            RETURN_IF_ERROR(ParseHex4(&code));
+            // A high surrogate followed by an escaped low one is one code
+            // point; a lone surrogate is kept as its own 3-byte sequence.
+            if (code >= 0xD800 && code < 0xDC00 && text_.compare(pos_, 2, "\\u") == 0) {
+              const size_t mark = pos_;
+              pos_ += 2;
+              uint32_t low = 0;
+              RETURN_IF_ERROR(ParseHex4(&low));
+              if (low >= 0xDC00 && low < 0xE000) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+              } else {
+                pos_ = mark;
+              }
             }
-            pos_ += 4;  // keep validation simple: escape checked, not decoded
-            out->push_back('?');
+            AppendUtf8(code, out);
             break;
           }
           default:
@@ -212,6 +225,42 @@ class JsonParser {
       out->push_back(c);
     }
     return Error("unterminated string");
+  }
+
+  // The four hex digits of a \\u escape.
+  Status ParseHex4(uint32_t* code) {
+    if (pos_ + 4 > text_.size()) {
+      return Error("truncated \\u escape");
+    }
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      if (!std::isxdigit(static_cast<unsigned char>(h))) {
+        return Error("bad hex digit in \\u escape");
+      }
+      *code = *code * 16 + static_cast<uint32_t>(std::isdigit(static_cast<unsigned char>(h))
+                                                     ? h - '0'
+                                                     : (std::tolower(h) - 'a' + 10));
+    }
+    return OkStatus();
+  }
+
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+      return;
+    }
+    if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    }
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
   }
 
   Status ParseNumber(JsonValue* out) {

@@ -1,65 +1,79 @@
 #include "src/scope/region_map.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "src/common/logging.h"
 
 namespace amulet {
 
-const char* RegionTagName(RegionTag tag) {
-  switch (tag) {
-    case RegionTag::kOther:
-      return "other";
-    case RegionTag::kOs:
-      return "os";
-    case RegionTag::kApp:
-      return "app";
-    case RegionTag::kGate:
-      return "gate";
-    case RegionTag::kDispatch:
-      return "dispatch";
-    case RegionTag::kRuntime:
-      return "runtime";
-    case RegionTag::kCheckLow:
-      return "check-low";
-    case RegionTag::kCheckHigh:
-      return "check-high";
-    case RegionTag::kCheckIndex:
-      return "check-index";
-    case RegionTag::kCheckRet:
-      return "check-ret";
-    case RegionTag::kMpuReconfig:
-      return "mpu-reconfig";
-    case RegionTag::kCount:
-      break;
+namespace {
+
+// One row per tag, in enum order: the report name, the mnemonic its scope
+// labels carry (none for the coarse tags BuildRegionMap paints from the
+// layout) and the paint order, coarse containers first and the finest
+// overlays last, so checks win over everything they sit inside.
+struct RegionTagRow {
+  RegionTag tag;
+  const char* name;
+  const char* mnemonic;
+  int paint_order;
+};
+
+constexpr RegionTagRow kRegionTags[] = {
+    {RegionTag::kOther, "other", nullptr, 0},
+    {RegionTag::kOs, "os", nullptr, 0},
+    {RegionTag::kApp, "app", nullptr, 0},
+    {RegionTag::kGate, "gate", "gate", 0},
+    {RegionTag::kDispatch, "dispatch", "disp", 0},
+    {RegionTag::kRuntime, "runtime", "rt", 0},
+    {RegionTag::kCheckLow, "check-low", "cklo", 2},
+    {RegionTag::kCheckHigh, "check-high", "ckhi", 2},
+    {RegionTag::kCheckIndex, "check-index", "ckix", 2},
+    {RegionTag::kCheckRet, "check-ret", "ckret", 2},
+    {RegionTag::kMpuReconfig, "mpu-reconfig", "mpur", 1},
+};
+
+constexpr bool RowsInEnumOrder() {
+  for (size_t i = 0; i < std::size(kRegionTags); ++i) {
+    if (static_cast<size_t>(kRegionTags[i].tag) != i) {
+      return false;
+    }
   }
-  return "?";
+  return std::size(kRegionTags) == kRegionTagCount;
+}
+static_assert(RowsInEnumOrder(), "kRegionTags needs one row per RegionTag, in enum order");
+
+const RegionTagRow& Row(RegionTag tag) { return kRegionTags[static_cast<size_t>(tag)]; }
+
+constexpr char kBeginPrefix[] = "__scope_b_";
+constexpr char kEndPrefix[] = "__scope_e_";
+constexpr size_t kPrefixLen = sizeof(kBeginPrefix) - 1;
+
+}  // namespace
+
+const char* RegionTagName(RegionTag tag) {
+  return tag < RegionTag::kCount ? Row(tag).name : "?";
 }
 
 RegionTag RegionTagForMnemonic(const std::string& mnemonic) {
-  if (mnemonic == "gate") {
-    return RegionTag::kGate;
-  }
-  if (mnemonic == "disp") {
-    return RegionTag::kDispatch;
-  }
-  if (mnemonic == "rt") {
-    return RegionTag::kRuntime;
-  }
-  if (mnemonic == "cklo") {
-    return RegionTag::kCheckLow;
-  }
-  if (mnemonic == "ckhi") {
-    return RegionTag::kCheckHigh;
-  }
-  if (mnemonic == "ckix") {
-    return RegionTag::kCheckIndex;
-  }
-  if (mnemonic == "ckret") {
-    return RegionTag::kCheckRet;
-  }
-  if (mnemonic == "mpur") {
-    return RegionTag::kMpuReconfig;
+  for (const RegionTagRow& row : kRegionTags) {
+    if (row.mnemonic != nullptr && mnemonic == row.mnemonic) {
+      return row.tag;
+    }
   }
   return RegionTag::kOther;
+}
+
+std::string ScopeLabel(ScopeEdge edge, RegionTag tag, const std::string& id) {
+  AMULET_CHECK(tag < RegionTag::kCount && Row(tag).mnemonic != nullptr);
+  return (edge == ScopeEdge::kBegin ? kBeginPrefix : kEndPrefix) +
+         std::string(Row(tag).mnemonic) + "_" + id;
+}
+
+bool IsScopeLabel(const std::string& symbol) {
+  return symbol.compare(0, kPrefixLen, kBeginPrefix) == 0 ||
+         symbol.compare(0, kPrefixLen, kEndPrefix) == 0;
 }
 
 void RegionMap::Paint(uint32_t lo, uint32_t hi, RegionTag tag) {
@@ -78,28 +92,6 @@ size_t RegionMap::TaggedBytes(RegionTag tag) const {
   }
   return n;
 }
-
-namespace {
-
-constexpr char kBeginPrefix[] = "__scope_b_";
-constexpr char kEndPrefix[] = "__scope_e_";
-constexpr size_t kPrefixLen = sizeof(kBeginPrefix) - 1;
-
-// Paint priority: coarse containers first, finest overlays last.
-int PaintOrder(RegionTag tag) {
-  switch (tag) {
-    case RegionTag::kGate:
-    case RegionTag::kDispatch:
-    case RegionTag::kRuntime:
-      return 0;
-    case RegionTag::kMpuReconfig:
-      return 1;
-    default:
-      return 2;  // checks win over everything they sit inside
-  }
-}
-
-}  // namespace
 
 std::vector<ScopeSpan> ParseScopeSpans(const std::map<std::string, uint16_t>& symbols) {
   std::vector<ScopeSpan> spans;
@@ -141,7 +133,7 @@ void PaintScopeSpans(const std::vector<ScopeSpan>& spans, RegionMap* map) {
   }
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const ScopeSpan* a, const ScopeSpan* b) {
-                     return PaintOrder(a->tag) < PaintOrder(b->tag);
+                     return Row(a->tag).paint_order < Row(b->tag).paint_order;
                    });
   for (const ScopeSpan* span : ordered) {
     map->Paint(span->lo, span->hi, span->tag);

@@ -42,6 +42,17 @@ const char* RegionTagName(RegionTag tag);
 // RegionTag::kOther for an unknown mnemonic.
 RegionTag RegionTagForMnemonic(const std::string& mnemonic);
 
+enum class ScopeEdge { kBegin, kEnd };
+
+// The zero-byte label that opens or closes a `tag` span: "__scope_b_<mnemonic>_<id>"
+// or "__scope_e_<mnemonic>_<id>". Every emitter of scope labels (codegen, the
+// AFT's gates and veneers, the runtime) spells them through this. `tag` must
+// have a mnemonic: gate, dispatch, runtime, mpu-reconfig or a check.
+std::string ScopeLabel(ScopeEdge edge, RegionTag tag, const std::string& id);
+
+// True for a begin or end scope label (listings leave them out).
+bool IsScopeLabel(const std::string& symbol);
+
 class RegionMap {
  public:
   RegionMap() : tags_(0x10000, static_cast<uint8_t>(RegionTag::kOther)) {}

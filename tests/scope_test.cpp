@@ -535,5 +535,39 @@ TEST(MetricsTest, LoadRejectsARepeatedHistogram) {
   EXPECT_EQ(restored.LoadState(reader).code(), StatusCode::kInvalidArgument);
 }
 
+// ---------------------------------------------------------------------------
+// JSON
+
+TEST(JsonTest, EveryAsciiByteRoundTrips) {
+  std::string all;
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    Result<JsonValue> parsed = ParseJson(JsonQuoted(one));
+    ASSERT_TRUE(parsed.ok()) << b << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->kind, JsonValue::kString);
+    EXPECT_EQ(parsed->str, one) << "byte " << b << " quoted as " << JsonQuoted(one);
+  }
+  Result<JsonValue> parsed = ParseJson(JsonQuoted(all));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->str, all);
+}
+
+TEST(JsonTest, DecodesEscapesToUtf8) {
+  Result<JsonValue> parsed =
+      ParseJson(R"("\b\f\/\u0041\u00e9\u20AC\ud83d\ude00")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->str, "\b\f/A\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80");
+}
+
+TEST(JsonTest, RejectsMalformedUnicodeEscapes) {
+  EXPECT_FALSE(ValidateJson(R"("\uZZZZ")").ok());
+  EXPECT_FALSE(ValidateJson(R"("\u12")").ok());
+  EXPECT_FALSE(ValidateJson(R"("\u12)").ok());
+  EXPECT_FALSE(ValidateJson(R"("\u00G1")").ok());
+  EXPECT_FALSE(ValidateJson(R"("\ud83d\uZZZZ")").ok());
+  EXPECT_TRUE(ValidateJson(R"("\u00e9")").ok());
+}
+
 }  // namespace
 }  // namespace amulet
