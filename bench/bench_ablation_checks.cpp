@@ -197,7 +197,7 @@ int Run() {
   json.Scalar("check_opt_sw_wins", static_cast<double>(sw_wins));
   json.Scalar("check_opt_gate_ok", opt_gate ? 1.0 : 0.0);
   json.Write();
-  return opt_gate ? 0 : 1;
+  return shape && opt_gate ? 0 : 1;
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ int Run() {
               shape ? "OK" : "MISMATCH");
   json.Scalar("shape_ok", shape ? 1.0 : 0.0);
   json.Write();
-  return 0;
+  return shape ? 0 : 1;
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ int Run() {
   }
   json.Scalar("shape_ok", shape ? 1.0 : 0.0);
   json.Write();
-  return 0;
+  return shape ? 0 : 1;
 }
 
 }  // namespace

@@ -302,8 +302,9 @@ int Run() {
   }
   PrintRule(76);
 
+  bool attribution_ok = true;
 #ifdef AMULET_SCOPE_ENABLED
-  const bool attribution_ok = RunAttribution(&json);
+  attribution_ok = RunAttribution(&json);
   json.Scalar("attribution_ok", attribution_ok ? 1.0 : 0.0);
 #endif
 
@@ -330,7 +331,7 @@ int Run() {
   json.Scalar("parallel_seconds", parallel_seconds);
   json.Scalar("sweep_bit_identical", identical ? 1.0 : 0.0);
   json.Write();
-  return identical ? 0 : 1;
+  return identical && all_under_half_percent && attribution_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ struct Workload {
 };
 
 double MeasureWorkload(const Workload& workload, MemoryModel model, int wait_states) {
-  auto rig = BootApp(*workload.app, {.model = model}, wait_states);
+  // The paper's toolchain: every dynamic access checked (optimizer off).
+  auto rig = BootApp(*workload.app, {.model = model, .optimize_checks = false}, wait_states);
   if (workload.needs_accel_warmup) {
     rig->os->sensors().set_mode(ActivityMode::kWalking);
     Status status = rig->os->RunFor(5000);  // fill the sample windows
@@ -128,7 +129,7 @@ int Run() {
   json.Scalar("fl_worst_ws0", fl_worst_ws0 ? 1.0 : 0.0);
   json.Scalar("fl_worst_ws1", fl_worst_ws1 ? 1.0 : 0.0);
   json.Write();
-  return 0;
+  return mpu_beats_sw_ws1 && mpu_beats_sw_ws0 && fl_worst_ws0 ? 0 : 1;
 }
 
 }  // namespace

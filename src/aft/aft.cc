@@ -99,31 +99,22 @@ std::string MpuReconfig(const std::string& segb1_sym, const std::string& segb2_s
 // decided once from the model: whether the MPU is reprogrammed between the
 // OS's and the app's view, and whether the app runs on its own stack.
 struct AppSwitch {
-  AppSwitch(const std::string& app_name, const AftOptions& aft)
-      : app(app_name),
-        options(aft),
-        reconfig_mpu(aft.model == MemoryModel::kMpu && !aft.future_mpu),
-        per_app_stacks(aft.model == MemoryModel::kMpu ||
-                       aft.model == MemoryModel::kSoftwareOnly) {}
-
-  // The MPU switch into the OS's (or the app's) view; empty when the model
-  // does not reprogram the MPU.
-  std::string ToOsView(const std::string& scope_id) const {
-    return reconfig_mpu
-               ? MpuReconfig("__mpuv_os_segb1", "__mpuv_os_segb2", OsSam(options), scope_id)
-               : "";
-  }
-  std::string ToAppView(const std::string& scope_id) const {
-    return reconfig_mpu ? MpuReconfig(StrFormat("__mpuv_%s_segb1", app.c_str()),
-                                      StrFormat("__mpuv_%s_segb2", app.c_str()),
-                                      AppSam(options), scope_id)
-                        : "";
-  }
-
   const std::string& app;
   const AftOptions& options;
-  const bool reconfig_mpu;
-  const bool per_app_stacks;
+  const bool reconfig_mpu = options.model == MemoryModel::kMpu && !options.future_mpu;
+  const bool per_app_stacks =
+      options.model == MemoryModel::kMpu || options.model == MemoryModel::kSoftwareOnly;
+
+  // The MPU switch into the OS's view (`to_os`) or the app's; empty when
+  // the model does not reprogram the MPU.
+  std::string MpuView(bool to_os, const std::string& scope_id) const {
+    if (!reconfig_mpu) {
+      return "";
+    }
+    const char* owner = to_os ? "os" : app.c_str();
+    return MpuReconfig(StrFormat("__mpuv_%s_segb1", owner), StrFormat("__mpuv_%s_segb2", owner),
+                       to_os ? OsSam(options) : AppSam(options), scope_id);
+  }
 };
 
 // Per-app, per-API syscall gate. Runs as simulated code: the stack switch,
@@ -142,7 +133,7 @@ std::string GateAsm(const AppSwitch& sw, const ApiEntry& api) {
   out += "  mov r15, &__HIO_ARG3\n";
   // Must happen before touching OS data: under the app's MPU view, the OS
   // data region is execute-only.
-  out += sw.ToOsView("g0_" + scope_id);
+  out += sw.MpuView(/*to_os=*/true, "g0_" + scope_id);
   if (sw.per_app_stacks) {
     out += StrFormat("  mov sp, &__os_saved_sp_%s\n", app);
     out += StrFormat("  mov #%d, sp\n", kOsStackTop);
@@ -151,7 +142,7 @@ std::string GateAsm(const AppSwitch& sw, const ApiEntry& api) {
   if (sw.per_app_stacks) {
     out += StrFormat("  mov &__os_saved_sp_%s, sp\n", app);
   }
-  out += sw.ToAppView("g1_" + scope_id);
+  out += sw.MpuView(/*to_os=*/false, "g1_" + scope_id);
   out += "  mov &__HIO_RESULT, r12\n";
   out += "  ret\n";
   out += ScopeLabel(ScopeEdge::kEnd, RegionTag::kGate, scope_id) + ":\n";
@@ -165,7 +156,7 @@ std::string DispatchAsm(const AppSwitch& sw) {
   std::string out;
   out += ScopeLabel(ScopeEdge::kBegin, RegionTag::kDispatch, sw.app) + ":\n";
   out += StrFormat("__dispatch_%s:\n", app);
-  out += sw.ToAppView(StrFormat("d0_%s", app));
+  out += sw.MpuView(/*to_os=*/false, StrFormat("d0_%s", app));
   if (sw.per_app_stacks) {
     out += StrFormat("  mov #__stacktop_%s, sp\n", app);
   } else {
@@ -184,7 +175,7 @@ std::string DispatchAsm(const AppSwitch& sw) {
   // Enter through the app-region thunk so the handler's (compiler-checked)
   // return address lies inside the app's own code bounds.
   out += StrFormat("  call #__thunk_%s\n", app);
-  out += sw.ToOsView(StrFormat("d1_%s", app));
+  out += sw.MpuView(/*to_os=*/true, StrFormat("d1_%s", app));
   out += StrFormat("  mov #%d, &__HIO_STOP\n", kStopHandlerDone);
   out += StrFormat("__dispatch_%s_spin:\n", app);
   out += StrFormat("  jmp __dispatch_%s_spin\n", app);
@@ -375,7 +366,7 @@ Result<Firmware> BuildFirmware(const std::vector<AppSource>& apps, const AftOpti
   os_text += ".section .os.text\n";
   os_text += OsCoreAsm();
   for (const CompiledApp& app : compiled) {
-    const AppSwitch sw(app.name, options);
+    const AppSwitch sw{app.name, options};
     os_text += DispatchAsm(sw);
     for (const ApiEntry& api : ApiTable()) {
       if (app.audit.called_apis.count(api.name) != 0) {

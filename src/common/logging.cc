@@ -5,38 +5,10 @@
 
 namespace amulet {
 
-namespace {
-LogLevel g_min_level = LogLevel::kWarning;
-
-const char* LevelTag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-
-const char* Basename(const char* path) {
-  const char* slash = std::strrchr(path, '/');
-  return slash != nullptr ? slash + 1 : path;
-}
-}  // namespace
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
-
-LogLevel MinLogLevel() { return g_min_level; }
-
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_min_level)) {
-    return;
-  }
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelTag(level), Basename(file), line, message.c_str());
+void LogCheckFailure(const char* file, int line, const char* condition) {
+  const char* slash = std::strrchr(file, '/');
+  std::fprintf(stderr, "[E %s:%d] CHECK failed: %s\n", slash != nullptr ? slash + 1 : file, line,
+               condition);
 }
 
 }  // namespace amulet

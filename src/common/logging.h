@@ -1,62 +1,23 @@
-// Minimal leveled logging for the host-side toolchain. Simulated-programs'
-// console output goes through the HOSTIO peripheral, not this logger.
+// Fatal invariant checks for the host-side code. Simulated programs' console
+// output goes through the HOSTIO peripheral, not through here.
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
-#include <sstream>
-#include <string>
-
 namespace amulet {
 
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-};
-
-// Process-wide minimum level; messages below it are dropped.
-void SetMinLogLevel(LogLevel level);
-LogLevel MinLogLevel();
-
-// Internal: emits one formatted line to stderr.
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
-
-// Stream-style helper: LOG(kInfo) << "x=" << x;
-class LogStream {
- public:
-  LogStream(LogLevel level, const char* file, int line) : level_(level), file_(file), line_(line) {}
-  ~LogStream() { LogMessage(level_, file_, line_, stream_.str()); }
-
-  LogStream(const LogStream&) = delete;
-  LogStream& operator=(const LogStream&) = delete;
-
-  template <typename T>
-  LogStream& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  const char* file_;
-  int line_;
-  std::ostringstream stream_;
-};
+// Internal: prints "[E file:line] CHECK failed: <condition>" to stderr.
+void LogCheckFailure(const char* file, int line, const char* condition);
 
 }  // namespace amulet
 
-#define AMULET_LOG(level) ::amulet::LogStream(::amulet::LogLevel::level, __FILE__, __LINE__)
-
 // CHECK: fatal invariant assertions in host code (never for simulated-program
 // conditions — those produce Status / simulated faults).
-#define AMULET_CHECK(condition)                                                      \
-  do {                                                                               \
-    if (!(condition)) {                                                              \
-      ::amulet::LogMessage(::amulet::LogLevel::kError, __FILE__, __LINE__,           \
-                           "CHECK failed: " #condition);                             \
-      __builtin_trap();                                                              \
-    }                                                                                \
+#define AMULET_CHECK(condition)                                       \
+  do {                                                                \
+    if (!(condition)) {                                               \
+      ::amulet::LogCheckFailure(__FILE__, __LINE__, #condition);      \
+      __builtin_trap();                                               \
+    }                                                                 \
   } while (false)
 
 #endif  // SRC_COMMON_LOGGING_H_

@@ -433,20 +433,6 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
 
 }  // namespace
 
-const char* OtaOutcomeName(OtaOutcome outcome) {
-  switch (outcome) {
-    case OtaOutcome::kNotAttempted:
-      return "not-attempted";
-    case OtaOutcome::kUpdated:
-      return "updated";
-    case OtaOutcome::kRejected:
-      return "rejected";
-    case OtaOutcome::kRolledBack:
-      return "rolled-back";
-  }
-  return "unknown";
-}
-
 std::vector<int> CampaignRolloutOrder(int device_count, uint32_t rollout_seed) {
   std::vector<int> order(static_cast<size_t>(std::max(0, device_count)));
   std::iota(order.begin(), order.end(), 0);

@@ -79,8 +79,6 @@ enum class OtaOutcome : uint8_t {
   kRolledBack = 3,  // activated, then storm-detected and rolled back
 };
 
-const char* OtaOutcomeName(OtaOutcome outcome);
-
 struct CampaignDeviceRow {
   DeviceStats stats;  // workload + health-window deltas (verify excluded)
   OtaOutcome outcome = OtaOutcome::kNotAttempted;

@@ -41,10 +41,12 @@ inline constexpr bool kCheckOptDefault = true;
 // Data/code bounds for the checked models cover exactly the test layout
 // (code [0x4400,0x7000), data+stack [0x7000,0x8800)); the test stack lives
 // at the top of the data region so in-app pointers stay in bounds.
+// `forward_values` off is codegen's reference path (every vreg reloaded).
 inline Result<CompileOutcome> CompileAndRun(Machine* machine, const std::string& source,
                                             MemoryModel model = MemoryModel::kNoIsolation,
                                             uint64_t max_cycles = 2'000'000,
-                                            bool optimize_checks = kCheckOptDefault) {
+                                            bool optimize_checks = kCheckOptDefault,
+                                            bool forward_values = true) {
   CompileOutcome out;
   ASSIGN_OR_RETURN(std::unique_ptr<Program> program, Parse(source, "t"));
   SemaOptions sema_options;
@@ -66,7 +68,9 @@ inline Result<CompileOutcome> CompileAndRun(Machine* machine, const std::string&
     out.checks.hoisted_checks = opt_stats.hoisted_checks;
     RETURN_IF_ERROR(VerifyIr(ir, /*allow_markers=*/false));
   }
-  ASSIGN_OR_RETURN(CodegenResult code, GenerateAssembly(ir, CodegenOptions{".text", ".data"}));
+  CodegenOptions cg{".text", ".data"};
+  cg.forward_values = forward_values;
+  ASSIGN_OR_RETURN(CodegenResult code, GenerateAssembly(ir, cg));
 
   const std::string startup =
       "__start:\n"

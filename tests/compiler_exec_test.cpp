@@ -543,46 +543,14 @@ struct ForwardingOutcome {
 
 ForwardingOutcome RunWithForwarding(const std::string& source, bool forward) {
   Machine machine;
-  auto program = Parse(source, "t");
-  EXPECT_TRUE(program.ok()) << program.status().ToString();
-  FeatureAudit audit;
-  EXPECT_TRUE(Analyze(program->get(), SemaOptions{}, &audit).ok());
-  auto ir = LowerProgram(program->get(), "t");
-  EXPECT_TRUE(ir.ok());
-  auto checks = InsertChecks(&*ir, MemoryModel::kSoftwareOnly, BoundSymbolsFor("t"));
-  EXPECT_TRUE(checks.ok());
-  CodegenOptions cg{".text", ".data"};
-  cg.forward_values = forward;
-  auto code = GenerateAssembly(*ir, cg);
-  EXPECT_TRUE(code.ok());
-
-  Linker linker;
-  auto startup = Assemble(
-      "__start:\n  mov #0x8800, sp\n  call #t_f_main\n  mov #4, &0x0710\n", "s.s");
-  EXPECT_TRUE(startup.ok());
-  linker.AddObject(std::move(*startup));
-  auto rt = Assemble(RuntimeAssembly(), "rt.s");
-  EXPECT_TRUE(rt.ok());
-  linker.AddObject(std::move(*rt));
-  auto app = Assemble(code->assembly, "app.s");
-  EXPECT_TRUE(app.ok()) << app.status().ToString();
-  linker.AddObject(std::move(*app));
-  BoundSymbols bounds = BoundSymbolsFor("t");
-  linker.DefineAbsolute(bounds.code_lo, 0x4400);
-  linker.DefineAbsolute(bounds.code_hi, 0x7000);
-  linker.DefineAbsolute(bounds.data_lo, 0x7000);
-  linker.DefineAbsolute(bounds.data_hi, 0x8800);
-  auto image = linker.Link({{".text", 0x4400}, {".data", 0x7000}});
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  LoadImage(*image, &machine.bus());
-  machine.bus().PokeWord(kResetVector, image->SymbolOrZero("__start"));
-  machine.cpu().Reset();
-  auto out = machine.Run(5'000'000);
-  EXPECT_EQ(out.result, StepResult::kStopped);
-  ForwardingOutcome outcome;
-  outcome.result = machine.bus().PeekWord(image->SymbolOrZero("t_g_r"));
-  outcome.cycles = machine.cpu().cycle_count();
-  return outcome;
+  auto out = CompileAndRun(&machine, source, MemoryModel::kSoftwareOnly, 5'000'000,
+                           /*optimize_checks=*/false, /*forward_values=*/forward);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) {
+    return {};
+  }
+  EXPECT_EQ(out->run.result, StepResult::kStopped);
+  return {GlobalWord(&machine, out->image, "r"), machine.cpu().cycle_count()};
 }
 
 TEST(ValueForwardingTest, SameResultsFewerCycles) {

@@ -12,6 +12,7 @@
 // (docs/simulator.md, "Predecoded instruction cache").
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -229,19 +230,13 @@ TEST_P(FuzzDifferential, HostAndSimulatorAgreeUnderEveryModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range(1, 101));
 
-// Differential gate for the phase-2.5 check optimizer: every seeded program
-// compiles twice — optimizer on and off — and the two firmwares must be
-// trap-for-trap equivalent under every memory model: same stop code, same
-// HOSTIO fault code/address on the first fault, and (for clean runs) the
-// same final globals. Programs mix elidable accesses (counted loops, masked
-// and clamped indices — the optimizer deletes these checks) with
-// data-dependent ones it must keep, and a third of the seeds end in a
-// deliberate out-of-bounds store (negative for the low check, huge positive
-// for the high check).
-class CheckOptDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(CheckOptDifferential, OptOnAndOffAgreeUnderEveryModel) {
-  Rng rng(static_cast<uint32_t>(GetParam()) * 2246822519u + 3);
+// Programs for the compile-twice differentials below. Each mixes elidable
+// accesses (counted loops, masked and clamped indices — the phase-2.5
+// optimizer deletes these checks) with data-dependent ones it must keep, and
+// a third of the seeds end in a deliberate out-of-bounds store (negative for
+// the low check, huge positive for the high check).
+std::string CheckedAccessProgram(int seed) {
+  Rng rng(static_cast<uint32_t>(seed) * 2246822519u + 3);
   std::string body;
   // Elidable: counted loop covering the whole array.
   body += StrFormat("  for (int i = 0; i < 16; i++) { a[i] = i * %d; }\n", rng.Range(1, 9));
@@ -262,53 +257,85 @@ TEST_P(CheckOptDifferential, OptOnAndOffAgreeUnderEveryModel) {
   } else if (oob == 2) {
     body += StrFormat("  a[idx + %d] = 1;\n", rng.Range(4000, 9000));  // high-bound fault
   }
-  const std::string source =
-      "int a[16];\nint m[8];\nint sum;\nint idx;\nvoid main(void) {\n" + body + "}\n";
+  return "int a[16];\nint m[8];\nint sum;\nint idx;\nvoid main(void) {\n" + body + "}\n";
+}
 
+// Compiles CheckedAccessProgram(seed) twice per memory model, `variant`
+// switching the pipeline between the two, and requires trap-for-trap
+// agreement: same stop code, same HOSTIO fault code/address on the first
+// fault, and (for clean runs) the same final globals.
+void ExpectCompilesAgree(int seed, const std::function<Result<CompileOutcome>(
+                                       Machine*, const std::string&, MemoryModel, bool)>& variant) {
+  const std::string source = CheckedAccessProgram(seed);
   for (MemoryModel model : {MemoryModel::kNoIsolation, MemoryModel::kFeatureLimited,
                             MemoryModel::kMpu, MemoryModel::kSoftwareOnly}) {
-    Machine opt_machine;
-    Machine ref_machine;
-    auto opt = CompileAndRun(&opt_machine, source, model, 2'000'000, /*optimize_checks=*/true);
-    auto ref = CompileAndRun(&ref_machine, source, model, 2'000'000, /*optimize_checks=*/false);
-    ASSERT_TRUE(opt.ok()) << opt.status().ToString() << "\nprogram:\n" << source;
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\nprogram:\n" << source;
-    EXPECT_EQ(opt->run.stop_code, ref->run.stop_code)
+    Machine on_machine;
+    Machine off_machine;
+    auto on = variant(&on_machine, source, model, true);
+    auto off = variant(&off_machine, source, model, false);
+    ASSERT_TRUE(on.ok()) << on.status().ToString() << "\nprogram:\n" << source;
+    ASSERT_TRUE(off.ok()) << off.status().ToString() << "\nprogram:\n" << source;
+    EXPECT_EQ(on->run.stop_code, off->run.stop_code)
         << "stop divergence under " << MemoryModelName(model) << "\nprogram:\n" << source;
-    EXPECT_EQ(opt_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultCode),
-              ref_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultCode))
+    EXPECT_EQ(on_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultCode),
+              off_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultCode))
         << "fault-code divergence under " << MemoryModelName(model) << "\nprogram:\n"
         << source;
-    EXPECT_EQ(opt_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultAddr),
-              ref_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultAddr))
+    EXPECT_EQ(on_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultAddr),
+              off_machine.bus().PeekWord(kHostIoRegBase + kHostIoFaultAddr))
         << "fault-addr divergence under " << MemoryModelName(model) << "\nprogram:\n"
         << source;
-    if (ref->run.stop_code == kStopMainDone) {
-      const uint16_t a_opt = opt->image.SymbolOrZero("t_g_a");
-      const uint16_t a_ref = ref->image.SymbolOrZero("t_g_a");
+    if (off->run.stop_code == kStopMainDone) {
+      const uint16_t a_on = on->image.SymbolOrZero("t_g_a");
+      const uint16_t a_off = off->image.SymbolOrZero("t_g_a");
       for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(opt_machine.bus().PeekWord(a_opt + 2 * i),
-                  ref_machine.bus().PeekWord(a_ref + 2 * i))
+        EXPECT_EQ(on_machine.bus().PeekWord(a_on + 2 * i),
+                  off_machine.bus().PeekWord(a_off + 2 * i))
             << "a[" << i << "] under " << MemoryModelName(model) << "\nprogram:\n" << source;
       }
-      const uint16_t m_opt = opt->image.SymbolOrZero("t_g_m");
-      const uint16_t m_ref = ref->image.SymbolOrZero("t_g_m");
+      const uint16_t m_on = on->image.SymbolOrZero("t_g_m");
+      const uint16_t m_off = off->image.SymbolOrZero("t_g_m");
       for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(opt_machine.bus().PeekWord(m_opt + 2 * i),
-                  ref_machine.bus().PeekWord(m_ref + 2 * i))
+        EXPECT_EQ(on_machine.bus().PeekWord(m_on + 2 * i),
+                  off_machine.bus().PeekWord(m_off + 2 * i))
             << "m[" << i << "] under " << MemoryModelName(model) << "\nprogram:\n" << source;
       }
-      EXPECT_EQ(GlobalWord(&opt_machine, opt->image, "sum"),
-                GlobalWord(&ref_machine, ref->image, "sum"))
+      EXPECT_EQ(GlobalWord(&on_machine, on->image, "sum"),
+                GlobalWord(&off_machine, off->image, "sum"))
           << source;
-      EXPECT_EQ(GlobalWord(&opt_machine, opt->image, "idx"),
-                GlobalWord(&ref_machine, ref->image, "idx"))
+      EXPECT_EQ(GlobalWord(&on_machine, on->image, "idx"),
+                GlobalWord(&off_machine, off->image, "idx"))
           << source;
     }
   }
 }
 
+// Differential gate for the phase-2.5 check optimizer: on vs off.
+class CheckOptDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(CheckOptDifferential, OptOnAndOffAgreeUnderEveryModel) {
+  ExpectCompilesAgree(GetParam(), [](Machine* machine, const std::string& source,
+                                     MemoryModel model, bool optimize) {
+    return CompileAndRun(machine, source, model, 2'000'000, /*optimize_checks=*/optimize);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckOptDifferential, ::testing::Range(1, 61));
+
+// Codegen's r12/r13 value forwarding against its reference path, which
+// reloads every vreg from its frame slot: the same programs, forwarding on
+// vs off.
+class ForwardingDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForwardingDifferential, ForwardingOnAndOffAgreeUnderEveryModel) {
+  ExpectCompilesAgree(GetParam(), [](Machine* machine, const std::string& source,
+                                     MemoryModel model, bool forward) {
+    return CompileAndRun(machine, source, model, 2'000'000, kCheckOptDefault,
+                         /*forward_values=*/forward);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ForwardingDifferential, ::testing::Range(1, 61));
 
 }  // namespace
 }  // namespace amulet
