@@ -283,8 +283,9 @@ void FunctionCodegen::EmitCompare32(const IrInst& cmp, IrRel rel, const std::str
 
 // Calls `target` ("#symbol" or "r11") with `args` in r12..r15, a 4-byte
 // argument taking two registers, and stores the r12 (r12:r13) result into
-// `dst` unless it is -1. The callee clobbers r12-r15, so the forwarding
-// cache starts over after the call.
+// `dst` unless it is -1. The callee may clobber r11-r15 (the runtime
+// routines use r11 as scratch), so the staged address and the forwarding
+// cache start over after the call.
 Status FunctionCodegen::EmitCall(const std::string& target, const std::vector<int>& args,
                                  int dst) {
   int reg = 12;
@@ -296,6 +297,7 @@ Status FunctionCodegen::EmitCall(const std::string& target, const std::vector<in
     reg += Words(arg);
   }
   Line("call " + target);
+  last_check_vr_ = -1;
   ForgetAll();
   if (dst >= 0) {
     Store(dst);

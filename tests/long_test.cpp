@@ -218,6 +218,23 @@ TEST(LongTest, LongArraysAndLoops) {
   EXPECT_EQ(RunAndGet32(source, "r"), 400006u);
 }
 
+// A 4-byte computed access stages its address in r11 and keeps it there
+// across the checks of that address. A runtime routine called in between
+// (__rt_mul32, __rt_divs32 and __rt_mods32 use r11 as scratch) must make the
+// store stage it again, under every model.
+TEST(LongTest, ComputedStoreAfterRuntimeCallRestagesAddress) {
+  const char* source =
+      "long acc[4]; long y; long r; int idx; "
+      "void main(void) { idx = 2; acc[2] = 3; y = 100000; "
+      "acc[idx & 3] *= y; acc[idx] = acc[idx] / y + acc[idx] % 7; r = acc[2]; }";
+  const long long product = 3 * 100000;
+  const uint32_t expected = static_cast<uint32_t>(product / 100000 + product % 7);
+  for (MemoryModel model : {MemoryModel::kNoIsolation, MemoryModel::kFeatureLimited,
+                            MemoryModel::kMpu, MemoryModel::kSoftwareOnly}) {
+    EXPECT_EQ(RunAndGet32(source, "r", model), expected) << MemoryModelName(model);
+  }
+}
+
 TEST(LongTest, LongInStructs) {
   const char* source =
       "struct Counter { int id; long total; }; "
