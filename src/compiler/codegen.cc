@@ -157,8 +157,8 @@ class FunctionCodegen {
     }
   }
   // Stages address vreg `vr` in r11 unless the previous check or access left
-  // it there. Run() forgets the staged address at the same boundaries as the
-  // forwarding cache.
+  // it there. Run() and EmitCall forget the staged address where they forget
+  // the forwarding cache.
   void StageAddress(int vr) {
     if (last_check_vr_ != vr) {
       Load(vr, 11);
