@@ -12,12 +12,12 @@ void LogCheckFailure(const char* file, int line, const char* condition);
 
 // CHECK: fatal invariant assertions in host code (never for simulated-program
 // conditions — those produce Status / simulated faults).
-#define AMULET_CHECK(condition)                                       \
-  do {                                                                \
-    if (!(condition)) {                                               \
-      ::amulet::LogCheckFailure(__FILE__, __LINE__, #condition);      \
-      __builtin_trap();                                               \
-    }                                                                 \
+#define AMULET_CHECK(condition)                                  \
+  do {                                                           \
+    if (!(condition)) {                                          \
+      ::amulet::LogCheckFailure(__FILE__, __LINE__, #condition); \
+      __builtin_trap();                                          \
+    }                                                            \
   } while (false)
 
 #endif  // SRC_COMMON_LOGGING_H_

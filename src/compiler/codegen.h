@@ -29,7 +29,8 @@ struct CodegenOptions {
   bool shadow_ret_stack = false;
   // Peephole value forwarding: skip reloading a vreg whose value is already
   // live in r12/r13 (straight-line only; invalidated at control merges and
-  // calls). Purely a cycle optimization; semantics are identical.
+  // calls). Purely a cycle optimization; semantics are identical. Off, every
+  // vreg is reloaded: the reference ForwardingDifferential compares against.
   bool forward_values = true;
   // Emit MPY32 hardware-multiplier sequences for 16x16 multiplies instead of
   // calling the shift-add __rt_mul routine (the low 16 result bits are

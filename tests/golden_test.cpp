@@ -180,7 +180,6 @@ TEST(GoldenTest, GeneratedImages) {
     names.push_back(name);
   }
   std::map<std::string, std::string> pins;  // config -> ImagePin
-  std::vector<AppSource> suite;
   for (const std::string& name : names) {
     auto spec = FindApp(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -194,6 +193,7 @@ TEST(GoldenTest, GeneratedImages) {
       }
     }
   }
+  std::vector<AppSource> suite;
   for (const AppSpec& app : AmuletAppSuite()) {
     suite.push_back({app.name, app.source});
   }
