@@ -395,7 +395,7 @@ Status FunctionCodegen::EmitInst(size_t index, bool* consumed_next) {
 
     case IrOp::kShiftImm: {
       Load(inst.a);
-      const int top = Words(inst.a) - 1;  // the register holding the sign word
+      const int top = Words(inst.a) - 1;  // r12 + top holds the most significant word
       for (int i = 0; i < inst.imm; ++i) {
         if (inst.bin == IrBin::kShl) {
           // Low word first: the carry moves up.
